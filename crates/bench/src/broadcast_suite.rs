@@ -6,8 +6,8 @@
 //! the tracked `BENCH.json` carries the same cases the interactive bench
 //! prints. Naming scheme: `broadcast/chain_d4/<case>`.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::Constants;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 
 use crate::microbench::{black_box, Session};
 

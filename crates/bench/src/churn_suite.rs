@@ -7,13 +7,13 @@
 //! * `churn/apply_churn/<n>` — one [`Network::apply_churn`] transaction
 //!   over a process-generated delta: tombstone/rejoin/spawn plus the
 //!   in-place masked grid rebuild and communication-graph refresh;
-//! * `churn/commgraph_rebuild_from/<n>` — the in-place,
-//!   allocation-reusing [`sinr_phy::CommGraph::rebuild_from`] alone, the
-//!   kernel every epoch boundary pays;
 //! * `churn/epoch_8_rounds_churned/<n>` — a full churned epoch as the
 //!   engine executes it: churn step + apply, waypoint advance + reindex,
 //!   connectivity check through reused BFS scratch, then 8 grid-native
 //!   rounds through a reused [`sinr_phy::ReceptionOracle`].
+//!
+//! A full communication-graph rebuild on its own is timed by the
+//! `repair/full_rebuild/<n>` rows of the repair suite.
 
 use sinr_netgen::churn::{ChurnModel, ChurnProcess};
 use sinr_netgen::mobility::{Mobility, MobilityModel};
@@ -61,22 +61,9 @@ pub fn run(session: &mut Session) {
             black_box(net.live_count());
         });
 
-        // The epoch-refresh kernel alone, over a fixed deployment.
-        let mut refresh_net = Network::new(pts.clone(), params).expect("valid");
-        session.bench_n(
-            &format!("churn/commgraph_rebuild_from/{n}"),
-            n,
-            3,
-            20,
-            || {
-                refresh_net.refresh_comm_graph();
-                black_box(refresh_net.comm_graph().num_edges());
-            },
-        );
-
         // A full churned epoch, engine-shaped: churn, move, reindex,
         // connectivity, then 8 grid-native rounds through reused scratch.
-        let mut epoch_net = Network::new(pts.clone(), params)
+        let mut epoch_net = Network::new(pts, params)
             .expect("valid")
             .with_interference_mode(InterferenceMode::grid_native());
         let mut epoch_proc: ChurnProcess<_> =

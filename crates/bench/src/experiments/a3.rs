@@ -10,8 +10,8 @@
 //! (their tails are estimated, not dropped), while truncation is visibly
 //! optimistic (dropped tail ⇒ easier SINR).
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_phy::InterferenceMode;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

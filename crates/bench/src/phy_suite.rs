@@ -1,15 +1,11 @@
 //! The physical-layer benchmark suite: the staged, batched
 //! [`ReceptionOracle`] across interference modes, sizes and physics
-//! thread counts — plus, under the `legacy-parity` feature, the frozen
-//! pre-oracle baseline.
+//! thread counts.
 //!
 //! Shared by the `interference` bench target and the `microbench` binary
-//! (which CI runs to produce the tracked `BENCH.json`; the physical-layer
-//! records also land in the historical `BENCH_phy.json` alias), so the
-//! committed perf trajectory and the interactive bench measure the same
-//! cases. Naming scheme: `legacy/...` is the frozen pre-PR2
-//! implementation ([`crate::legacy`], `legacy-parity` builds only),
-//! `oracle/...` the reusable zero-allocation oracle;
+//! (which CI runs to produce the tracked `BENCH.json`), so the committed
+//! perf trajectory and the interactive bench measure the same cases.
+//! Naming scheme: `oracle/...` is the reusable zero-allocation oracle;
 //! `oracle/grid_native_r4_t<k>/...` rows shard the accumulate stage
 //! across `k` physics threads ([`KernelPool`]).
 
@@ -17,8 +13,6 @@ use sinr_geometry::GridIndex;
 use sinr_netgen::uniform;
 use sinr_phy::{InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome, SinrParams};
 
-#[cfg(feature = "legacy-parity")]
-use crate::legacy;
 use crate::microbench::{black_box, Session};
 
 /// Stations per unit square in the dense-uniform deployments (the load the
@@ -53,10 +47,6 @@ pub fn run(session: &mut Session) {
             ),
         ];
         for (tag, mode) in compat_modes {
-            #[cfg(feature = "legacy-parity")]
-            session.bench(&format!("legacy/{tag}/{n}"), n, || {
-                black_box(legacy::resolve_round(&pts, &params, &tx, mode, Some(&grid)));
-            });
             session.bench(&format!("oracle/{tag}/{n}"), n, || {
                 oracle.resolve_into(&pts, &params, &tx, mode, Some(&grid), &mut out);
                 black_box(&out);
@@ -108,7 +98,7 @@ pub fn run(session: &mut Session) {
         }
     }
 
-    // Transmitter-density scaling of the exact kernel (legacy vs oracle).
+    // Transmitter-density scaling of the exact kernel.
     let n = session.pick(1024, 512);
     let side = uniform::side_for_density(n, DENSITY);
     let pts = uniform::square(n, side, 11);
@@ -116,40 +106,18 @@ pub fn run(session: &mut Session) {
     let mut out = RoundOutcome::empty();
     for &pct in &[2usize, 10, 25] {
         let tx: Vec<usize> = (0..n).step_by(100 / pct).collect();
-        #[cfg(feature = "legacy-parity")]
-        session.bench(&format!("legacy/exact_pct{pct}/{n}"), n, || {
-            black_box(legacy::resolve_round(
-                &pts,
-                &params,
-                &tx,
-                InterferenceMode::Exact,
-                None,
-            ));
-        });
         session.bench(&format!("oracle/exact_pct{pct}/{n}"), n, || {
             oracle.resolve_into(&pts, &params, &tx, InterferenceMode::Exact, None, &mut out);
             black_box(&out);
         });
     }
 
-    report_speedups(session, sizes[sizes.len() - 1], shard_sizes);
+    report_speedups(session, shard_sizes);
 }
 
-/// Prints the headline speedups the repository tracks: the grid-native
-/// exact-decode path vs the pre-PR oracle at the largest size (when the
-/// legacy baseline is compiled in), and the sharded kernel vs its own
-/// single-thread row.
-fn report_speedups(session: &Session, n: usize, shard_sizes: &[usize]) {
-    let native = session.mean_ns(&format!("oracle/grid_native_r4/{n}"));
-    for baseline in ["cell_aggregate_r4", "exact"] {
-        let legacy = session.mean_ns(&format!("legacy/{baseline}/{n}"));
-        if let (Some(l), Some(o)) = (legacy, native) {
-            println!(
-                "speedup oracle/grid_native_r4 vs legacy/{baseline} at n={n}: {:.1}x",
-                l as f64 / o.max(1) as f64
-            );
-        }
-    }
+/// Prints the headline speedups the repository tracks: the sharded
+/// kernel vs its own single-thread row.
+fn report_speedups(session: &Session, shard_sizes: &[usize]) {
     for &n in shard_sizes {
         let t1 = session.mean_ns(&format!("oracle/grid_native_r4_t1/{n}"));
         for threads in [2, 8] {

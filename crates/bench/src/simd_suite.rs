@@ -1,10 +1,9 @@
-//! The explicit-SIMD kernel suite: the three batch kernels the runtime
-//! dispatcher vectorizes — [`PositionStore::distance_sq_batch_with`],
-//! [`SinrParams::signal_at_sq_batch_with`] and the sqrt-free
-//! [`PositionStore::for_each_within_sq_with`] membership loop — each
-//! timed under the auto-detected tier AND pinned to scalar on the same
-//! machine, so the committed `BENCH.json` records the actual lane
-//! speedup rather than inferring it across commits.
+//! The explicit-SIMD kernel suite: the two batch kernels the runtime
+//! dispatcher vectorizes — [`PositionStore::distance_sq_batch_with`] and
+//! the sqrt-free [`PositionStore::for_each_within_sq_with`] membership
+//! loop — each timed under the auto-detected tier AND pinned to scalar
+//! on the same machine, so the committed `BENCH.json` records the actual
+//! lane speedup rather than inferring it across commits.
 //!
 //! Naming scheme: `simd/<kernel>/<dispatch>/<n>` where `<dispatch>` is
 //! `auto` (the cached hardware tier) or `scalar` (forced, the reference
@@ -16,7 +15,6 @@
 
 use sinr_geometry::{hardware_tier, PositionStore, SimdTier};
 use sinr_netgen::uniform;
-use sinr_phy::SinrParams;
 
 use crate::microbench::{black_box, Session};
 use crate::phy_suite::DENSITY;
@@ -44,26 +42,6 @@ pub fn run(session: &mut Session) {
             store.distance_sq_batch_with(0..n, &center, &mut d2, tier);
             black_box(&mut d2);
         });
-    }
-
-    // signal_at_sq_batch per integer path-loss exponent. The kernel is
-    // in-place, so each iteration restores the input first; the copy cost
-    // is identical across dispatches and cancels out of the ratio.
-    store.distance_sq_batch_with(0..n, &center, &mut d2, auto);
-    let master = d2.clone();
-    for alpha in [2.0, 3.0, 4.0] {
-        let params = SinrParams::builder()
-            .alpha(alpha)
-            .build(1.5)
-            .expect("valid bench params");
-        let a = alpha as u32;
-        for (tag, tier) in dispatches {
-            session.bench(&format!("simd/signal_alpha{a}/{tag}/{n}"), n, || {
-                d2.copy_from_slice(&master);
-                params.signal_at_sq_batch_with(&mut d2, tier);
-                black_box(&mut d2);
-            });
-        }
     }
 
     // The sqrt-free radius-membership loop over the whole store (a ball

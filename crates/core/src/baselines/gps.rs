@@ -23,10 +23,21 @@
 use std::collections::BTreeMap;
 
 use sinr_geometry::MetricPoint;
-use sinr_phy::{Network, NetworkError, SinrParams};
+use sinr_phy::{Network, SinrParams};
 use sinr_runtime::{bernoulli, node_rng};
 
-use crate::run::BroadcastReport;
+/// What one oracle TDMA run hands back to the `sim` dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GpsOracleRun {
+    /// Rounds until every station was informed (or the budget, if not).
+    pub rounds: u64,
+    /// Whether every station was informed within the budget.
+    pub completed: bool,
+    /// Stations informed at the end.
+    pub informed: usize,
+    /// Total transmissions across the run.
+    pub total_transmissions: u64,
+}
 
 /// Cell side: a lone transmission from a cell must reach every point of the
 /// 8-neighbourhood, whose farthest point lies `2·√2·side` away; with reach
@@ -53,30 +64,14 @@ fn cell_of<P: MetricPoint>(p: &P, side: f64) -> (i64, i64) {
     )
 }
 
-/// Runs the GPS-oracle grid-TDMA broadcast from `source`.
-///
-/// # Errors
-///
-/// Propagates network-construction failures.
-pub fn run_gps_oracle_broadcast<P: MetricPoint>(
-    points: Vec<P>,
-    params: &SinrParams,
-    source: usize,
-    seed: u64,
-    max_rounds: u64,
-) -> Result<BroadcastReport, NetworkError> {
-    let net = Network::new(points, *params)?;
-    Ok(run_gps_oracle_on(&net, source, seed, max_rounds))
-}
-
-/// The oracle TDMA loop over an already-constructed network (shared by the
-/// public runner and the `sim` dispatch).
+/// The oracle TDMA loop over an already-constructed network; reached
+/// through `ProtocolSpec::GpsOracleBroadcast`.
 pub(crate) fn run_gps_oracle_on<P: MetricPoint>(
     net: &Network<P>,
     source: usize,
     seed: u64,
     max_rounds: u64,
-) -> BroadcastReport {
+) -> GpsOracleRun {
     let params = net.params();
     let n = net.len();
     let side = cell_side(params);
@@ -126,8 +121,7 @@ pub(crate) fn run_gps_oracle_on<P: MetricPoint>(
         }
         rounds += 1;
     }
-    BroadcastReport {
-        n,
+    GpsOracleRun {
         rounds,
         completed: informed_count == n,
         informed: informed_count,
@@ -138,10 +132,21 @@ pub(crate) fn run_gps_oracle_on<P: MetricPoint>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{ProtocolSpec, RunReport, Scenario};
     use sinr_geometry::Point2;
 
     fn params() -> SinrParams {
         SinrParams::default_plane()
+    }
+
+    fn run(pts: Vec<Point2>, seed: u64, budget: u64) -> RunReport {
+        Scenario::new(pts)
+            .protocol(ProtocolSpec::GpsOracleBroadcast { source: 0 })
+            .budget(budget)
+            .build()
+            .unwrap()
+            .run(seed)
+            .unwrap()
     }
 
     #[test]
@@ -156,9 +161,8 @@ mod tests {
 
     #[test]
     fn completes_on_path() {
-        let p = params();
         let pts: Vec<Point2> = (0..8).map(|i| Point2::new(i as f64 * 0.45, 0.0)).collect();
-        let rep = run_gps_oracle_broadcast(pts, &p, 0, 3, 1_000_000).unwrap();
+        let rep = run(pts, 3, 1_000_000);
         assert!(rep.completed, "{rep:?}");
         assert_eq!(rep.informed, 8);
     }
@@ -167,31 +171,28 @@ mod tests {
     fn completes_on_dense_cell() {
         // 60 stations inside ONE cell: the oracle's 1/pop contention makes
         // this routine; a fixed-probability scheme would jam.
-        let p = params();
         let pts: Vec<Point2> = (0..60)
             .map(|i| {
                 let a = i as f64 * 0.105;
                 Point2::new(0.08 * a.cos(), 0.08 * a.sin())
             })
             .collect();
-        let rep = run_gps_oracle_broadcast(pts, &p, 0, 5, 1_000_000).unwrap();
+        let rep = run(pts, 5, 1_000_000);
         assert!(rep.completed, "{rep:?}");
     }
 
     #[test]
     fn empty_and_singleton() {
-        let p = params();
-        let rep = run_gps_oracle_broadcast(vec![Point2::origin()], &p, 0, 1, 100).unwrap();
+        let rep = run(vec![Point2::origin()], 1, 100);
         assert!(rep.completed);
         assert_eq!(rep.rounds, 0);
     }
 
     #[test]
     fn deterministic() {
-        let p = params();
         let pts: Vec<Point2> = (0..10).map(|i| Point2::new(i as f64 * 0.4, 0.0)).collect();
-        let a = run_gps_oracle_broadcast(pts.clone(), &p, 0, 7, 1_000_000).unwrap();
-        let b = run_gps_oracle_broadcast(pts, &p, 0, 7, 1_000_000).unwrap();
+        let a = run(pts.clone(), 7, 1_000_000);
+        let b = run(pts, 7, 1_000_000);
         assert_eq!(a, b);
     }
 }

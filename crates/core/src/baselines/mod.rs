@@ -18,6 +18,5 @@ pub mod reflood;
 
 pub use daum::DaumBroadcastNode;
 pub use flood::FloodNode;
-pub use gps::run_gps_oracle_broadcast;
 pub use local::LocalBroadcastNode;
 pub use reflood::ReFloodNode;

@@ -24,9 +24,7 @@
 //! * [`verify`] — measurement of the Lemma 1/Lemma 2 invariants;
 //! * [`sim`] — the [`sim::Scenario`] builder: declarative topologies,
 //!   the protocol registry, unified [`sim::RunReport`]s and parallel
-//!   seed sweeps;
-//! * [`run`] — the legacy one-call runners, now deprecated thin wrappers
-//!   over [`sim`].
+//!   seed sweeps.
 //!
 //! # Quickstart
 //!
@@ -64,7 +62,6 @@ pub mod constants;
 pub mod estimate;
 pub mod leader;
 pub mod localcast;
-pub mod run;
 pub mod sim;
 pub mod stabilize;
 pub mod verify;

@@ -1,8 +1,7 @@
 //! The `Scenario` builder: declarative, replayable simulations with
 //! parallel seed sweeps.
 //!
-//! This module supersedes the free-function runner zoo of [`crate::run`]
-//! (kept as deprecated wrappers). A scenario is built from four
+//! This is the one way to run a protocol. A scenario is built from four
 //! declarative pieces — a topology, a protocol, the tuned constants and
 //! the SINR parameters — and produces a [`Simulation`] whose every run is
 //! a **pure deterministic function of one explicit `u64` seed**: the seed
@@ -205,8 +204,8 @@
 //! sharding contract). The two compose under one machine thread budget,
 //! resolved once per [`Simulation`]. Observers are constructed fresh per
 //! run, so they cannot leak state across seeds either. The golden tests
-//! in `tests/scenario_golden.rs` pin the sweep properties (plus
-//! field-for-field agreement with the legacy `run_*` runners), and
+//! in `tests/scenario_golden.rs` pin the sweep properties (plus the
+//! full report bytes of one run per protocol), and
 //! `tests/mode_determinism.rs` pins physics-thread invariance across
 //! every interference mode — for static and mobile topologies alike.
 

@@ -96,8 +96,8 @@ impl FaultReport {
     }
 }
 
-/// Unified result of one simulation run — the superset of the legacy
-/// `BroadcastReport` / `WakeupReport` / `ConsensusReport` / `LeaderReport`.
+/// Unified result of one simulation run, for every protocol: common
+/// counters plus a per-protocol [`Outcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The seed this run was the deterministic function of.

@@ -26,8 +26,7 @@ use super::{
 
 /// Stream id under which run seeds derive their topology-generation seed
 /// (decorrelated from the per-node protocol streams, which use the run
-/// seed directly — matching the legacy runners bit-for-bit on explicit
-/// topologies).
+/// seed directly on explicit topologies).
 const TOPOLOGY_STREAM: u64 = 0x544F_504F; // "TOPO"
 
 /// Stream id under which run seeds derive their mobility-trajectory seed
@@ -767,7 +766,7 @@ fn live_count<P: MetricPoint, Pr: Protocol>(
 
 /// Drives an engine until all live nodes satisfy `done` or `budget`
 /// rounds elapse (predicate checked *before* each round, exactly like
-/// [`Engine::run_until`] — the legacy runners' accounting).
+/// [`Engine::run_until`]).
 #[allow(clippy::too_many_arguments)]
 fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     scenario: &Scenario<P>,
@@ -931,9 +930,8 @@ fn check_source(source: usize, n: usize) -> Result<(), SimError> {
 }
 
 /// Executes one run. The per-node randomness is seeded with the run seed
-/// itself (streams 0/1/2 as in the legacy runners), which is what makes
-/// the new API reproduce `run_*` outputs field-for-field on explicit
-/// topologies.
+/// itself (streams 0/1/2), so an explicit topology's report depends on
+/// nothing but the seed.
 fn execute<P: MetricPoint>(
     scenario: &Scenario<P>,
     net: Network<P>,
@@ -1274,7 +1272,7 @@ fn execute<P: MetricPoint>(
                 total,
                 |id| {
                     // Stream 1 draws IDs; stream 0 drives the protocol
-                    // inside the engine (as in the legacy runner).
+                    // inside the engine.
                     use rand::Rng;
                     let mut rng = node_rng(seed, id as u64, 1);
                     let id_value = rng.gen_range(1..(1u64 << bits));

@@ -65,7 +65,7 @@
 
 // `deny` rather than `forbid`: the `simd` module's arch submodules are the
 // workspace's only sanctioned `#[allow(unsafe_code)]` sites (sinr-lint pins
-// the allowlist to `crates/geometry/src/simd/` and `crates/phy/src/simd/`).
+// the allowlist to `crates/geometry/src/simd/`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

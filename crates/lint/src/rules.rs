@@ -131,13 +131,13 @@ impl Default for Config {
         let v = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
         Config {
             deterministic_crates: v(&[
-                "geometry", "phy", "runtime", "netgen", "core", "sim", "wire", "serve",
+                "geometry", "phy", "runtime", "netgen", "core", "wire", "serve",
             ]),
             wallclock_exempt_crates: v(&["bench", "serve"]),
             hot_crates: v(&["phy", "geometry", "runtime"]),
             quiet_exempt_crates: v(&["bench", "lint"]),
             parallelism_resolver: "crates/core/src/sim/scenario.rs".to_string(),
-            simd_unsafe_allowed_paths: v(&["crates/geometry/src/simd/", "crates/phy/src/simd/"]),
+            simd_unsafe_allowed_paths: v(&["crates/geometry/src/simd/"]),
         }
     }
 }
@@ -704,14 +704,28 @@ mod tests {
         let cfg = Config::default();
         // Under an allowed SIMD path: SAFETY-less unsafe is flagged...
         let bad = "pub fn f() { unsafe { std::hint::unreachable_unchecked() } }\n";
-        let r = check_files(&[file("crates/phy/src/simd/a.rs", bad)], &cfg);
+        let r = check_files(&[file("crates/geometry/src/simd/a.rs", bad)], &cfg);
         assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)]);
         assert!(r.diagnostics[0].message.contains("SAFETY"));
         // ...and a SAFETY comment satisfies the rule.
         let good = "// SAFETY: guarded by the match above.\npub fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        let r = check_files(&[file("crates/phy/src/simd/a.rs", good)], &cfg);
+        let r = check_files(&[file("crates/geometry/src/simd/a.rs", good)], &cfg);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        assert_eq!(r.unsafe_counts.get("phy"), Some(&1));
+        assert_eq!(r.unsafe_counts.get("geometry"), Some(&1));
+        // The physical layer owns no allowlist path: the same SAFETY-
+        // annotated block anywhere under `crates/phy/src/` is rejected.
+        for path in ["crates/phy/src/simd/a.rs", "crates/phy/src/params.rs"] {
+            let r = check_files(&[file(path, good)], &cfg);
+            assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 2)], "{path}");
+            assert!(
+                r.diagnostics[0]
+                    .message
+                    .contains("outside the SIMD allowlist"),
+                "{:?}",
+                r.diagnostics
+            );
+            assert!(r.unsafe_counts.values().all(|&c| c == 0), "{path}");
+        }
     }
 
     #[test]
@@ -749,18 +763,23 @@ mod tests {
     #[test]
     fn simd_owning_roots_may_deny_instead_of_forbid() {
         let cfg = Config::default();
-        // `phy` owns an allowlist path, so its root may carry deny...
+        // `geometry` owns an allowlist path, so its root may carry deny...
         let deny = "#![deny(unsafe_code)]\npub fn f() {}\n";
-        let r = check_files(&[file("crates/phy/src/lib.rs", deny)], &cfg);
+        let r = check_files(&[file("crates/geometry/src/lib.rs", deny)], &cfg);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         // ...but not nothing at all.
-        let r = check_files(&[file("crates/phy/src/lib.rs", "pub fn f() {}\n")], &cfg);
+        let r = check_files(
+            &[file("crates/geometry/src/lib.rs", "pub fn f() {}\n")],
+            &cfg,
+        );
         assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)]);
         assert!(r.diagnostics[0].message.contains("deny(unsafe_code)"));
-        // Non-owning crates cannot downgrade to deny.
-        let r = check_files(&[file("crates/stats/src/lib.rs", deny)], &cfg);
-        assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)]);
-        assert!(r.diagnostics[0].message.contains("forbid(unsafe_code)"));
+        // Non-owning crates cannot downgrade to deny — `phy` included.
+        for root in ["crates/stats/src/lib.rs", "crates/phy/src/lib.rs"] {
+            let r = check_files(&[file(root, deny)], &cfg);
+            assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)], "{root}");
+            assert!(r.diagnostics[0].message.contains("forbid(unsafe_code)"));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn zero_baseline() -> Ratchet {
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
-        unsafe_counts: [("geometry", 0), ("phy", 0)]
+        unsafe_counts: [("geometry", 0)]
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
@@ -29,7 +29,7 @@ fn zero_baseline() -> Ratchet {
 #[test]
 fn every_bad_snippet_flagged_at_its_line() {
     let ws = Workspace::load(&fixture_root()).unwrap();
-    assert_eq!(ws.files.len(), 9, "fixture corpus drifted: {ws:?}");
+    assert_eq!(ws.files.len(), 10, "fixture corpus drifted: {ws:?}");
     let report = lint_files(&ws.files, &Config::default(), Some(&zero_baseline()));
 
     let got: Vec<(&str, usize, Rule)> = report
@@ -38,12 +38,14 @@ fn every_bad_snippet_flagged_at_its_line() {
         .map(|d| (d.path.as_str(), d.line, d.rule))
         .collect();
     let expected: Vec<(&str, usize, Rule)> = vec![
+        // Under an allowed SIMD path the missing-SAFETY contract applies.
+        ("crates/geometry/src/simd/kernel.rs", 5, Rule::ForbidUnsafe),
         ("crates/phy/src/lib.rs", 1, Rule::ForbidUnsafe),
         ("crates/phy/src/noisy.rs", 4, Rule::QuietLibraries),
         ("crates/phy/src/noisy.rs", 5, Rule::QuietLibraries),
         ("crates/phy/src/noisy.rs", 6, Rule::QuietLibraries),
         ("crates/phy/src/parallel.rs", 4, Rule::ParallelismResolver),
-        // Under an allowed SIMD path the missing-SAFETY contract applies.
+        // A `simd/` directory outside the allowlist is no excuse.
         ("crates/phy/src/simd/kernel.rs", 5, Rule::ForbidUnsafe),
         ("crates/phy/src/unordered.rs", 4, Rule::UnorderedCollections),
         // Outside the allowlist, location is the violation — twice, and
@@ -56,9 +58,11 @@ fn every_bad_snippet_flagged_at_its_line() {
         // The seeded unwrap in panicky.rs (1) exceeds the zero baseline;
         // line 8 is phy's entry in the canonical baseline rendering.
         ("lint-ratchet.toml", 8, Rule::PanicRatchet),
-        // The seeded unsafe in simd/kernel.rs (1) exceeds the zero
-        // `[unsafe-blocks]` baseline; line 15 is phy's entry there.
-        ("lint-ratchet.toml", 15, Rule::ForbidUnsafe),
+        // The seeded unsafe in geometry's simd/kernel.rs (1) exceeds the
+        // zero `[unsafe-blocks]` baseline; line 14 is geometry's entry
+        // there. Phy's unsafe sits outside the allowlist, so it is
+        // flagged in place and never counted.
+        ("lint-ratchet.toml", 14, Rule::ForbidUnsafe),
     ];
     assert_eq!(got, expected, "full diagnostics: {:#?}", report.diagnostics);
 }
@@ -86,7 +90,7 @@ fn correct_baseline_clears_the_ratchet() {
     let ws = Workspace::load(&fixture_root()).unwrap();
     let mut baseline = zero_baseline();
     baseline.counts.insert("phy".to_string(), 1);
-    baseline.unsafe_counts.insert("phy".to_string(), 1);
+    baseline.unsafe_counts.insert("geometry".to_string(), 1);
     let report = lint_files(&ws.files, &Config::default(), Some(&baseline));
     assert!(
         !report
@@ -97,7 +101,8 @@ fn correct_baseline_clears_the_ratchet() {
         report.diagnostics
     );
     assert_eq!(report.panic_counts.get("phy"), Some(&1));
-    assert_eq!(report.unsafe_counts.get("phy"), Some(&1));
+    assert_eq!(report.unsafe_counts.get("geometry"), Some(&1));
+    assert_eq!(report.unsafe_counts.get("phy"), None);
 }
 
 #[test]
@@ -144,6 +149,7 @@ fn cli_check_exits_nonzero_on_fixtures_with_file_line_output() {
         "crates/phy/src/noisy.rs:4: [quiet-libraries]",
         "crates/phy/src/parallel.rs:4: [parallelism-resolver]",
         "crates/phy/src/unsound.rs:4: [forbid-unsafe]",
+        "crates/geometry/src/simd/kernel.rs:5: [forbid-unsafe]",
         "crates/phy/src/simd/kernel.rs:5: [forbid-unsafe]",
         "outside the SIMD allowlist",
         "crates/phy/src/lib.rs:1: [forbid-unsafe]",

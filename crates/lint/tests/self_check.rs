@@ -74,7 +74,7 @@ fn committed_ratchet_rejects_a_seeded_unsafe_block_in_the_simd_tree() {
     // Correctly SAFETY-annotated and under an allowed path — but one
     // token over the committed `[unsafe-blocks]` ceiling.
     files.push(SourceFile {
-        rel_path: "crates/phy/src/simd/seeded_unsafe.rs".to_string(),
+        rel_path: "crates/geometry/src/simd/seeded_unsafe.rs".to_string(),
         text: "// SAFETY: seeded fixture; the count still ratchets.\n\
                pub fn f() { unsafe { core::hint::unreachable_unchecked() } }\n"
             .to_string(),
@@ -94,7 +94,7 @@ fn committed_ratchet_rejects_a_seeded_unsafe_block_in_the_simd_tree() {
         "exactly the seeded unsafe must trip the ratchet: {:#?}",
         report.diagnostics
     );
-    assert!(hits[0].message.contains("`phy`"), "{:?}", hits[0]);
+    assert!(hits[0].message.contains("`geometry`"), "{:?}", hits[0]);
     assert!(hits[0].message.contains("unsafe"), "{:?}", hits[0]);
 }
 

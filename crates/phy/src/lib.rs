@@ -125,11 +125,13 @@
 //!
 //! # Explicit SIMD
 //!
-//! Both halves of the SoA hot path now dispatch to explicit `std::arch`
-//! kernels at runtime rather than relying on autovectorization:
-//! distances through [`sinr_geometry::simd`] and the α ∈ {2, 3, 4}
-//! path-loss maps through [`crate::simd`] (AVX2+FMA on x86_64, NEON on
-//! aarch64, scalar elsewhere; generic-α `powf` stays scalar). Every
+//! The distance half of the SoA hot path dispatches to explicit
+//! `std::arch` kernels at runtime through [`sinr_geometry::simd`]
+//! (AVX2+FMA on x86_64, NEON on aarch64, scalar elsewhere). The
+//! path-loss half, [`SinrParams::signal_at_sq_batch`], is plain scalar
+//! code left to autovectorization, because explicit α ∈ {2, 3, 4}
+//! kernels measure ~1× (`EXPERIMENTS.md`, "Explicit SIMD"); this crate
+//! is `unsafe`-free. Every
 //! lane op is correctly rounded and applied in the scalar association
 //! order, so **all tiers are bit-identical per element** — dispatch is
 //! a pure speed knob, pinned by `tests/simd_equivalence.rs` and the
@@ -162,11 +164,7 @@
 //! # Ok::<(), sinr_phy::NetworkError>(())
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module's arch submodules are the
-// workspace's only sanctioned `#[allow(unsafe_code)]` sites besides
-// sinr-geometry's (sinr-lint pins the allowlist to
-// `crates/geometry/src/simd/` and `crates/phy/src/simd/`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;
@@ -177,7 +175,6 @@ pub mod oracle;
 pub mod params;
 pub mod pool;
 pub mod reception;
-pub mod simd;
 
 pub use bounds::ParamBounds;
 pub use commgraph::{CommGraph, GraphScratch, UNREACHABLE};

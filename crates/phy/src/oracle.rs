@@ -818,7 +818,7 @@ fn grid_native_cells(
                 scratch
                     .near_pos
                     .distance_sq_batch_with(i..i + len, &pu, &mut sig[..len], tier);
-                params.signal_at_sq_batch_with(&mut sig[..len], tier);
+                params.signal_at_sq_batch(&mut sig[..len]);
                 for (k, &s) in sig[..len].iter().enumerate() {
                     let t = scratch.near_t[i + k];
                     if t == u {

@@ -79,7 +79,7 @@ pub enum InterferenceMode {
     /// Cost: `O(|T| log |T| + #cells·#tx-cells + near pairs)` per round,
     /// with no square-root/`powf` per far pair — measured ~15× faster than
     /// `Exact` and ~14× faster than `CellAggregate` at n = 10⁴, 2% load
-    /// (see `BENCH_phy.json`).
+    /// (see the `oracle/` rows of `BENCH.json`).
     GridNative {
         /// Exact-evaluation radius (must be at least 2; default 4 balances
         /// the tail error against the near-pair count).

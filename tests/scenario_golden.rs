@@ -1,24 +1,23 @@
-//! Golden equivalence and determinism tests for the `Scenario` API.
+//! Golden and determinism tests for the `Scenario` API.
 //!
 //! Two contracts are pinned here:
 //!
-//! 1. **Legacy equivalence** — for every protocol with a legacy `run_*`
-//!    runner, `Scenario::run(seed)` on the same explicit topology
-//!    reproduces the legacy report **field-for-field**;
+//! 1. **Legacy goldens** — every protocol that once had a one-call
+//!    `run_*` runner reproduces that runner's outcome. The runners were
+//!    deprecated wrappers that built the very same `Scenario`; before
+//!    they were deleted, each case below was run once and its full
+//!    `encode_run_report` bytes were recorded (the runners agreed with
+//!    `Scenario` on every field they reported). The cases now compare
+//!    the whole canonical report against those bytes. The coloring case
+//!    still compares two live paths: `Scenario` against `run_stabilize`;
 //! 2. **Sweep determinism** — `Simulation::sweep` returns identical
 //!    reports for 1 worker thread and many, and `run(seed)` twice is
 //!    bit-for-bit identical.
 
-#![allow(deprecated)] // the point of this file is comparing against the legacy runners
-
-use sinr_broadcast::core::run::{
-    run_adhoc_wakeup, run_consensus, run_daum_broadcast, run_established_wakeup,
-    run_flood_broadcast, run_leader_election, run_local_broadcast, run_nos_broadcast,
-    run_nos_broadcast_with_estimate, run_s_broadcast, run_s_broadcast_in_mode,
-    run_s_broadcast_with_estimate,
+use sinr_broadcast::core::sim::{
+    encode_run_report, Outcome, ProtocolSpec, Scenario, SimError, Simulation, TopologySpec,
 };
-use sinr_broadcast::core::sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
-use sinr_broadcast::core::{baselines::run_gps_oracle_broadcast, run_stabilize, Constants};
+use sinr_broadcast::core::{run_stabilize, Constants};
 use sinr_broadcast::geometry::Point2;
 use sinr_broadcast::phy::{InterferenceMode, SinrParams};
 use sinr_broadcast::runtime::WakeSchedule;
@@ -38,7 +37,7 @@ fn path(n: usize) -> Vec<Point2> {
 }
 
 /// Builds the scenario every broadcast-style case uses.
-fn sim_for(spec: ProtocolSpec, budget: u64) -> sinr_broadcast::sim::Simulation {
+fn sim_for(spec: ProtocolSpec, budget: u64) -> Simulation {
     Scenario::new(path(6))
         .constants(fast())
         .protocol(spec)
@@ -47,162 +46,112 @@ fn sim_for(spec: ProtocolSpec, budget: u64) -> sinr_broadcast::sim::Simulation {
         .expect("valid scenario")
 }
 
-#[test]
-fn nos_broadcast_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let legacy = run_nos_broadcast(path(6), &params, fast(), 0, 11, 500_000).unwrap();
-    let new = sim_for(ProtocolSpec::NoSBroadcast { source: 0 }, 500_000)
-        .run(11)
-        .unwrap();
-    assert_eq!(legacy.n, new.n);
-    assert_eq!(legacy.rounds, new.rounds);
-    assert_eq!(legacy.completed, new.completed);
-    assert_eq!(legacy.informed, new.informed);
-    assert_eq!(legacy.total_transmissions, new.total_transmissions);
+/// Runs `seed` and compares the canonical report encoding against the
+/// bytes recorded from the legacy runner's scenario.
+fn assert_golden(sim: &Simulation, seed: u64, golden: &str) -> Result<(), SimError> {
+    assert_eq!(encode_run_report(&sim.run(seed)?), golden, "seed {seed}");
+    Ok(())
 }
 
 #[test]
-fn s_broadcast_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let legacy = run_s_broadcast(path(6), &params, fast(), 0, 12, 500_000).unwrap();
-    let new = sim_for(ProtocolSpec::SBroadcast { source: 0 }, 500_000)
-        .run(12)
-        .unwrap();
-    assert_eq!(
-        (
-            legacy.n,
-            legacy.rounds,
-            legacy.completed,
-            legacy.informed,
-            legacy.total_transmissions
-        ),
-        (
-            new.n,
-            new.rounds,
-            new.completed,
-            new.informed,
-            new.total_transmissions
-        )
-    );
+fn nos_broadcast_matches_legacy() -> Result<(), SimError> {
+    let sim = sim_for(ProtocolSpec::NoSBroadcast { source: 0 }, 500_000);
+    assert_golden(
+        &sim,
+        11,
+        r#"{"seed":11,"n":6,"rounds":206,"completed":true,"informed":6,"total_transmissions":9,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )
 }
 
 #[test]
-fn estimate_broadcasts_match_legacy() {
-    let params = SinrParams::default_plane();
-    let legacy =
-        run_s_broadcast_with_estimate(path(6), &params, fast(), 0, 48, 13, 2_000_000).unwrap();
-    let new = sim_for(
+fn s_broadcast_matches_legacy() -> Result<(), SimError> {
+    let sim = sim_for(ProtocolSpec::SBroadcast { source: 0 }, 500_000);
+    assert_golden(
+        &sim,
+        12,
+        r#"{"seed":12,"n":6,"rounds":126,"completed":true,"informed":6,"total_transmissions":8,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )
+}
+
+#[test]
+fn estimate_broadcasts_match_legacy() -> Result<(), SimError> {
+    let sim = sim_for(
         ProtocolSpec::SBroadcastWithEstimate { source: 0, nu: 48 },
         2_000_000,
-    )
-    .run(13)
-    .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions)
     );
+    assert_golden(
+        &sim,
+        13,
+        r#"{"seed":13,"n":6,"rounds":200,"completed":true,"informed":6,"total_transmissions":8,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )?;
 
-    let budget = fast().phase_rounds(48) * 60;
-    let legacy =
-        run_nos_broadcast_with_estimate(path(6), &params, fast(), 0, 48, 14, budget).unwrap();
-    let new = sim_for(
+    let sim = sim_for(
         ProtocolSpec::NoSBroadcastWithEstimate { source: 0, nu: 48 },
-        budget,
-    )
-    .run(14)
-    .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions)
+        fast().phase_rounds(48) * 60,
     );
+    assert_golden(
+        &sim,
+        14,
+        r#"{"seed":14,"n":6,"rounds":703,"completed":true,"informed":6,"total_transmissions":13,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )
 }
 
 #[test]
-fn baselines_match_legacy() {
-    let params = SinrParams::default_plane();
-
-    let legacy = run_daum_broadcast(path(6), &params, 0, None, 15, 200_000).unwrap();
-    let new = sim_for(
-        ProtocolSpec::DaumBroadcast {
-            source: 0,
-            granularity: None,
-        },
-        200_000,
+fn baselines_match_legacy() -> Result<(), SimError> {
+    let daum = ProtocolSpec::DaumBroadcast {
+        source: 0,
+        granularity: None,
+    };
+    assert_golden(
+        &sim_for(daum, 200_000),
+        15,
+        r#"{"seed":15,"n":6,"rounds":5,"completed":true,"informed":6,"total_transmissions":9,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )?;
+    let flood = ProtocolSpec::FloodBroadcast { source: 0, p: 0.3 };
+    assert_golden(
+        &sim_for(flood, 200_000),
+        16,
+        r#"{"seed":16,"n":6,"rounds":9,"completed":true,"informed":6,"total_transmissions":10,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )?;
+    let local = ProtocolSpec::LocalBroadcast { source: 0 };
+    assert_golden(
+        &sim_for(local, 200_000),
+        17,
+        r#"{"seed":17,"n":6,"rounds":34,"completed":true,"informed":6,"total_transmissions":19,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )?;
+    let gps = ProtocolSpec::GpsOracleBroadcast { source: 0 };
+    assert_golden(
+        &sim_for(gps, 200_000),
+        18,
+        r#"{"seed":18,"n":6,"rounds":8,"completed":true,"informed":6,"total_transmissions":4,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
     )
-    .run(15)
-    .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions),
-        "daum"
-    );
-
-    let legacy = run_flood_broadcast(path(6), &params, 0, 0.3, 16, 200_000).unwrap();
-    let new = sim_for(ProtocolSpec::FloodBroadcast { source: 0, p: 0.3 }, 200_000)
-        .run(16)
-        .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions),
-        "flood"
-    );
-
-    let legacy = run_local_broadcast(path(6), &params, 0, 17, 200_000).unwrap();
-    let new = sim_for(ProtocolSpec::LocalBroadcast { source: 0 }, 200_000)
-        .run(17)
-        .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions),
-        "local"
-    );
-
-    let legacy = run_gps_oracle_broadcast(path(6), &params, 0, 18, 200_000).unwrap();
-    let new = sim_for(ProtocolSpec::GpsOracleBroadcast { source: 0 }, 200_000)
-        .run(18)
-        .unwrap();
-    assert_eq!(
-        (
-            legacy.rounds,
-            legacy.completed,
-            legacy.informed,
-            legacy.total_transmissions
-        ),
-        (
-            new.rounds,
-            new.completed,
-            new.informed,
-            new.total_transmissions
-        ),
-        "gps oracle"
-    );
 }
 
 #[test]
-fn interference_mode_matches_legacy() {
-    let params = SinrParams::default_plane();
-    for mode in [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
+fn interference_mode_matches_legacy() -> Result<(), SimError> {
+    for (mode, golden) in [
+        (
+            InterferenceMode::Exact,
+            r#"{"seed":19,"n":6,"rounds":297,"completed":true,"informed":6,"total_transmissions":6,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+        ),
+        (
+            InterferenceMode::Truncated { radius: 4.0 },
+            r#"{"seed":19,"n":6,"rounds":297,"completed":true,"informed":6,"total_transmissions":6,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+        ),
+        (
+            InterferenceMode::CellAggregate { near_radius: 4.0 },
+            r#"{"seed":19,"n":6,"rounds":297,"completed":true,"informed":6,"total_transmissions":6,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+        ),
     ] {
-        let legacy =
-            run_s_broadcast_in_mode(path(6), &params, fast(), 0, mode, 19, 500_000).unwrap();
-        let new = Scenario::new(path(6))
+        let sim = Scenario::new(path(6))
             .constants(fast())
             .protocol(ProtocolSpec::SBroadcast { source: 0 })
             .interference_mode(mode)
             .budget(500_000)
-            .build()
-            .unwrap()
-            .run(19)
-            .unwrap();
-        assert_eq!(
-            (legacy.rounds, legacy.completed, legacy.total_transmissions),
-            (new.rounds, new.completed, new.total_transmissions),
-            "{mode:?}"
-        );
+            .build()?;
+        assert_golden(&sim, 19, golden)?;
     }
+    Ok(())
 }
 
 #[test]
@@ -254,131 +203,68 @@ fn truncated_coloring_reports_incomplete_instead_of_panicking() {
 }
 
 #[test]
-fn wakeup_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
+fn wakeup_matches_legacy() -> Result<(), SimError> {
     let schedule = WakeSchedule::single(0, 13);
-    let budget = consts.phase_rounds(6) * 60;
-    let legacy = run_adhoc_wakeup(path(6), &params, consts, &schedule, 22, budget).unwrap();
-    let new = sim_for(
-        ProtocolSpec::AdhocWakeup {
-            schedule: schedule.clone(),
-        },
-        budget,
+    let sim = sim_for(
+        ProtocolSpec::AdhocWakeup { schedule },
+        fast().phase_rounds(6) * 60,
+    );
+    assert_golden(
+        &sim,
+        22,
+        r#"{"seed":22,"n":6,"rounds":397,"completed":true,"informed":6,"total_transmissions":5,"outcome":{"kind":"wakeup","first_wake":13,"rounds_from_first_wake":384},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
     )
-    .run(22)
-    .unwrap();
-    assert_eq!(legacy.completed, new.completed);
-    match new.outcome {
-        Outcome::Wakeup {
-            first_wake,
-            rounds_from_first_wake,
-        } => {
-            assert_eq!(legacy.first_wake, first_wake);
-            assert_eq!(legacy.rounds_from_first_wake, rounds_from_first_wake);
-        }
-        ref other => panic!("expected wakeup outcome, got {other:?}"),
-    }
 }
 
 #[test]
-fn established_wakeup_matches_legacy() {
+fn established_wakeup_matches_legacy() -> Result<(), SimError> {
     let params = SinrParams::default_plane();
     let consts = fast();
-    let backbone = run_stabilize(path(6), &params, consts, 4).unwrap();
+    let backbone = run_stabilize(path(6), &params, consts, 4)?;
     let mut initiators = vec![false; 6];
     initiators[0] = true;
-    let budget = consts.wakeup_window(6, 5) * 3;
-    let legacy = run_established_wakeup(
-        path(6),
-        &params,
-        consts,
-        &backbone.coloring,
-        &initiators,
-        23,
-        budget,
-    )
-    .unwrap();
-    let new = sim_for(
+    let sim = sim_for(
         ProtocolSpec::EstablishedWakeup {
-            coloring: backbone.coloring.clone(),
-            initiators: initiators.clone(),
+            coloring: backbone.coloring,
+            initiators,
         },
-        budget,
-    )
-    .run(23)
-    .unwrap();
-    assert_eq!(
-        (
-            legacy.rounds,
-            legacy.completed,
-            legacy.informed,
-            legacy.total_transmissions
-        ),
-        (
-            new.rounds,
-            new.completed,
-            new.informed,
-            new.total_transmissions
-        )
+        consts.wakeup_window(6, 5) * 3,
     );
+    assert_golden(
+        &sim,
+        23,
+        r#"{"seed":23,"n":6,"rounds":144,"completed":true,"informed":6,"total_transmissions":4,"outcome":{"kind":"broadcast"},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )
 }
 
 #[test]
-fn consensus_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let values = [6u64, 2, 5, 7, 3, 4];
-    let legacy = run_consensus(path(6), &params, consts, &values, 3, 4, 24).unwrap();
-    let new = Scenario::new(path(6))
-        .constants(consts)
+fn consensus_matches_legacy() -> Result<(), SimError> {
+    let sim = Scenario::new(path(6))
+        .constants(fast())
         .protocol(ProtocolSpec::Consensus {
-            values: values.to_vec(),
+            values: vec![6, 2, 5, 7, 3, 4],
             bits: 3,
             d_bound: 4,
         })
-        .build()
-        .unwrap()
-        .run(24)
-        .unwrap();
-    assert_eq!(legacy.rounds, new.rounds);
-    match new.outcome {
-        Outcome::Consensus {
-            ref decided,
-            agreement,
-            valid,
-        } => {
-            assert_eq!(legacy.decided, *decided);
-            assert_eq!(legacy.agreement, agreement);
-            assert_eq!(legacy.valid, valid);
-        }
-        ref other => panic!("expected consensus outcome, got {other:?}"),
-    }
+        .build()?;
+    assert_golden(
+        &sim,
+        24,
+        r#"{"seed":24,"n":6,"rounds":16440,"completed":true,"informed":6,"total_transmissions":343,"outcome":{"kind":"consensus","decided":[2,2,2,2,2,2],"agreement":true,"valid":true},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )
 }
 
 #[test]
-fn leader_election_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let legacy = run_leader_election(path(6), &params, consts, 6, 25).unwrap();
-    let new = Scenario::new(path(6))
-        .constants(consts)
+fn leader_election_matches_legacy() -> Result<(), SimError> {
+    let sim = Scenario::new(path(6))
+        .constants(fast())
         .protocol(ProtocolSpec::LeaderElection { d_bound: 6 })
-        .build()
-        .unwrap()
-        .run(25)
-        .unwrap();
-    assert_eq!(legacy.rounds, new.rounds);
-    match new.outcome {
-        Outcome::Leader {
-            ref leaders,
-            unique,
-        } => {
-            assert_eq!(legacy.leaders, *leaders);
-            assert_eq!(legacy.unique, unique);
-        }
-        ref other => panic!("expected leader outcome, got {other:?}"),
-    }
+        .build()?;
+    assert_golden(
+        &sim,
+        25,
+        r#"{"seed":25,"n":6,"rounds":72744,"completed":true,"informed":6,"total_transmissions":1555,"outcome":{"kind":"leader","leaders":[0],"unique":true},"per_round":null,"tx_counts":null,"measurements":{},"faults":null}"#,
+    )
 }
 
 #[test]

@@ -3,13 +3,14 @@
 //!
 //! Three layers of pinning:
 //!
-//! 1. kernel level — `distance_sq_batch_with`, `signal_at_sq_batch_with`
-//!    and `for_each_within_sq_with` compared `to_bits()`-element-wise
+//! 1. kernel level — `distance_sq_batch_with` and
+//!    `for_each_within_sq_with` compared `to_bits()`-element-wise
 //!    between the machine's [`hardware_tier`] and a forced
 //!    [`SimdTier::Scalar`], across point families (uniform / cluster /
-//!    line / grid) × axes {1, 2, 3} × α ∈ {2, 3, 4} × slice lengths
-//!    {0, 1, lane−1, lane, lane+1, 4·lane+3} × the `MIN_DISTANCE` clamp
-//!    boundary;
+//!    line / grid) × axes {1, 2, 3} × slice lengths
+//!    {0, 1, lane−1, lane, lane+1, 4·lane+3}; the scalar-only
+//!    `signal_at_sq_batch` is pinned against `signal_at_sq` per element
+//!    for α ∈ {2, 3, 4} through the `MIN_DISTANCE` clamp boundary;
 //! 2. predicate level — the sqrt-free ball criterion
 //!    ([`radius_criterion`]) probed exhaustively through the ulp
 //!    neighborhood of its boundary against the `d2.sqrt() <= radius`
@@ -180,49 +181,6 @@ fn clamp_boundary_inputs() -> Vec<f64> {
 }
 
 #[test]
-fn signal_kernels_match_scalar_bitwise_for_every_alpha_path() {
-    let auto = hardware_tier();
-    // α ∈ {2, 3, 4} exercise the vectorized integer-exponent fast paths;
-    // 2.5 exercises the generic-α powf path (scalar on every tier — the
-    // dispatch must agree with itself).
-    for alpha in [2.0, 3.0, 4.0, 2.5] {
-        let params = SinrParams::builder()
-            .alpha(alpha)
-            .build(1.5)
-            .expect("valid test params");
-        for family in FAMILIES {
-            for (li, &len) in lengths().iter().enumerate() {
-                let pts = family_points(family, len + 1, 2000 + li as u64);
-                let store = store_for(3, &pts);
-                let mut master = vec![0.0f64; len];
-                store.distance_sq_batch_with(0..len, &pts[len], &mut master, SimdTier::Scalar);
-                // Splice the clamp-boundary probes over the family
-                // distances so every length ≥ 1 hits the clamp too.
-                for (k, v) in clamp_boundary_inputs().into_iter().enumerate() {
-                    if k < master.len() {
-                        master[k] = v;
-                    }
-                }
-                let mut vec_out = master.clone();
-                let mut ref_out = master.clone();
-                params.signal_at_sq_batch_with(&mut vec_out, auto);
-                params.signal_at_sq_batch_with(&mut ref_out, SimdTier::Scalar);
-                for k in 0..len {
-                    assert_eq!(
-                        vec_out[k].to_bits(),
-                        ref_out[k].to_bits(),
-                        "alpha {alpha} {family}/len{len}: d2={} produced {} vs {}",
-                        master[k],
-                        vec_out[k],
-                        ref_out[k],
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn signal_batch_agrees_with_the_documented_scalar_element_function() {
     // The batch kernel's per-element contract is `signal_at_sq` itself —
     // including at the clamp boundary.
@@ -233,7 +191,7 @@ fn signal_batch_agrees_with_the_documented_scalar_element_function() {
             .expect("valid test params");
         let inputs = clamp_boundary_inputs();
         let mut batch = inputs.clone();
-        params.signal_at_sq_batch_with(&mut batch, hardware_tier());
+        params.signal_at_sq_batch(&mut batch);
         for (k, &d2) in inputs.iter().enumerate() {
             assert_eq!(
                 batch[k].to_bits(),
