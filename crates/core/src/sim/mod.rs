@@ -185,6 +185,8 @@
 //! error     = {"event":"error","message":string}
 //! ```
 //!
+//! On each connection a job's `accepted` precedes every `round` of that
+//! job, and each `report` and `done` follows the `round`s before it.
 //! Live `round` events flow through the lossy bounded [`StreamObserver`]
 //! / [`RoundSink`] pair: a slow subscriber drops rounds (counted in
 //! `done.dropped_rounds`) rather than stalling the engine, and always

@@ -10,6 +10,23 @@
 //! shared pool, and receive `round` events live plus one `report` event
 //! per finished trial.
 //!
+//! # Latency
+//!
+//! Both ends of every connection set `TCP_NODELAY`, and every request
+//! or event line leaves in one write, so no line waits for the peer's
+//! delayed ACK. A connection's writer thread buffers its socket and
+//! flushes once per wake-up: it wakes on a control event (`accepted`,
+//! `report`, `done`, `pong`, `error`), writes every control event then
+//! pending plus every queued round line, and flushes. Round lines alone
+//! do not wake it; they go out with the next control event, or at the
+//! latest after one `TICK` (25 ms), the writer's shutdown re-check.
+//!
+//! # Event order
+//!
+//! On each connection, a job's `accepted` precedes every `round` of
+//! that job, and each `report` and `done` follows every `round` the
+//! trial produced before it.
+//!
 //! # Backpressure
 //!
 //! Round events reach each subscriber through a bounded lossy
@@ -36,7 +53,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -57,7 +74,8 @@ use sinr_wire::Value;
 /// a genuinely slow reader degrades to report-only.
 pub const ROUND_CHANNEL_CAPACITY: usize = 1024;
 
-/// How often blocked writer loops re-check the shutdown flag.
+/// How often blocked writer loops re-check the shutdown flag and flush
+/// round lines that no control event carried out.
 const TICK: Duration = Duration::from_millis(25);
 
 // ---------------------------------------------------------------------
@@ -105,13 +123,29 @@ fn done_line(job: u64, dropped: u64) -> String {
 // Subscribers and jobs
 // ---------------------------------------------------------------------
 
+/// What a connection's writer thread receives on its control channel,
+/// in the order it writes them.
+enum Outbound {
+    /// A `report`, `done`, `pong` or `error` line. The writer first
+    /// drains the round channels, so the line trails every round queued
+    /// before it was sent.
+    Line(String),
+    /// A new subscription: its `accepted` line and its round channel.
+    /// The writer drains the channel only after writing the line, so no
+    /// round of the job precedes its `accepted`.
+    Accepted {
+        line: String,
+        rounds: Receiver<String>,
+    },
+}
+
 /// One registration of a connection on a job: a lossy bounded round
 /// channel plus a reliable unbounded control channel. Both receivers
 /// are drained by the connection's writer thread.
 struct Subscriber {
     stream_rounds: bool,
     round: Mutex<RoundSink<String>>,
-    control: Sender<String>,
+    control: Sender<Outbound>,
 }
 
 impl Subscriber {
@@ -125,7 +159,7 @@ impl Subscriber {
     /// Reliable and non-blocking (unbounded channel); a departed reader
     /// just discards.
     fn push_control(&self, line: String) {
-        let _ = self.control.send(line);
+        let _ = self.control.send(Outbound::Line(line));
     }
 
     fn dropped(&self) -> u64 {
@@ -337,74 +371,94 @@ fn worker(shared: &Shared) {
 // Connection side
 // ---------------------------------------------------------------------
 
-/// The per-connection outgoing half shared between the reader (which
-/// registers new subscriptions) and the writer thread (which drains
-/// them into the socket).
-struct Outgoing {
-    control_tx: Sender<String>,
-    /// Receivers of every round channel subscribed on this connection.
-    round_rxs: Mutex<Vec<Receiver<String>>>,
+/// The writer thread's half of a connection: the buffered socket and
+/// the round channels of every job subscribed on it.
+struct ConnWriter<W> {
+    out: W,
+    rounds: Vec<Receiver<String>>,
 }
 
-impl Outgoing {
-    fn drain_rounds(&self, out: &mut impl Write) -> io::Result<()> {
-        for rx in self.round_rxs.lock().unwrap().iter() {
+impl<W: Write> ConnWriter<W> {
+    fn drain_rounds(&mut self) -> io::Result<()> {
+        for rx in &self.rounds {
             for line in rx.try_iter() {
-                out.write_all(line.as_bytes())?;
+                self.out.write_all(line.as_bytes())?;
             }
         }
         Ok(())
     }
-}
 
-fn flush_outgoing(
-    stream: &mut TcpStream,
-    outgoing: &Outgoing,
-    line: Option<String>,
-) -> io::Result<()> {
-    // Rounds queued before a control event was sent are already in
-    // their channels (channel sends happen-before), so draining rounds
-    // first keeps `report`/`done` after the rounds they trail.
-    outgoing.drain_rounds(stream)?;
-    if let Some(line) = line {
-        stream.write_all(line.as_bytes())?;
-    }
-    stream.flush()
-}
-
-fn writer_loop(
-    shared: &Shared,
-    outgoing: &Outgoing,
-    control_rx: &Receiver<String>,
-    mut stream: TcpStream,
-) {
-    loop {
-        match control_rx.recv_timeout(TICK) {
-            Ok(line) => {
-                if flush_outgoing(&mut stream, outgoing, Some(line)).is_err() {
-                    return;
-                }
+    fn write(&mut self, message: Outbound) -> io::Result<()> {
+        match message {
+            // Rounds queued before a control line was sent are already
+            // in their channels (channel sends happen-before), so
+            // draining rounds first keeps `report`/`done` after the
+            // rounds they trail.
+            Outbound::Line(line) => {
+                self.drain_rounds()?;
+                self.out.write_all(line.as_bytes())
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if flush_outgoing(&mut stream, outgoing, None).is_err() || shared.is_shutdown() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                let _ = flush_outgoing(&mut stream, outgoing, None);
-                return;
+            Outbound::Accepted { line, rounds } => {
+                self.out.write_all(line.as_bytes())?;
+                self.rounds.push(rounds);
+                Ok(())
             }
         }
     }
 }
 
-fn subscribe(job: &Arc<Job>, outgoing: &Arc<Outgoing>, stream_rounds: bool) {
+/// Sets up an accepted stream for serving: disables Nagle's algorithm
+/// and returns the buffered write half the writer thread owns.
+fn server_write_half(stream: &TcpStream) -> io::Result<BufWriter<TcpStream>> {
+    stream.set_nodelay(true)?;
+    Ok(BufWriter::new(stream.try_clone()?))
+}
+
+/// Each wake-up writes every pending control message and queued round
+/// line into the buffer, then flushes once: one syscall per wake-up.
+fn writer_loop(shared: &Shared, control_rx: &Receiver<Outbound>, out: BufWriter<TcpStream>) {
+    let mut writer = ConnWriter {
+        out,
+        rounds: Vec::new(),
+    };
+    loop {
+        let (first, last) = match control_rx.recv_timeout(TICK) {
+            Ok(message) => (Some(message), false),
+            Err(RecvTimeoutError::Timeout) => (None, shared.is_shutdown()),
+            Err(RecvTimeoutError::Disconnected) => (None, true),
+        };
+        let written = first
+            .into_iter()
+            .chain(control_rx.try_iter())
+            .try_for_each(|message| writer.write(message))
+            .and_then(|()| writer.drain_rounds())
+            .and_then(|()| writer.out.flush());
+        if written.is_err() || last {
+            return;
+        }
+    }
+}
+
+/// Registers a subscriber for `job` on the connection behind `control`.
+/// `accepted` reaches the writer ahead of the round channel's first
+/// drain and of every report or `done` this subscription receives.
+fn subscribe(
+    job: &Arc<Job>,
+    control: &Sender<Outbound>,
+    stream_rounds: bool,
+    accepted: String,
+) -> Result<(), String> {
     let (sink, rx) = RoundSink::bounded(ROUND_CHANNEL_CAPACITY);
-    outgoing.round_rxs.lock().unwrap().push(rx);
+    control
+        .send(Outbound::Accepted {
+            line: accepted,
+            rounds: rx,
+        })
+        .map_err(|_| "connection closed".to_string())?;
     let sub = Arc::new(Subscriber {
         stream_rounds,
         round: Mutex::new(sink),
-        control: outgoing.control_tx.clone(),
+        control: control.clone(),
     });
     // Lock order mirrors push_report (reports, then subscribers), so
     // replay plus live fan-out hand each report to this subscriber
@@ -424,9 +478,18 @@ fn subscribe(job: &Arc<Job>, outgoing: &Arc<Outgoing>, stream_rounds: bool) {
     }
     drop(subs);
     drop(reports);
+    Ok(())
 }
 
-fn handle_submit(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Result<(), String> {
+fn accepted_line(job: u64, trials: u64) -> String {
+    event_line(vec![
+        ("event".into(), Value::str("accepted")),
+        ("job".into(), Value::UInt(job)),
+        ("trials".into(), Value::UInt(trials)),
+    ])
+}
+
+fn handle_submit(shared: &Shared, control: &Sender<Outbound>, req: &Value) -> Result<(), String> {
     let spec_value = req.get("spec").ok_or("submit is missing 'spec'")?;
     let spec = ScenarioSpec::from_value(spec_value).map_err(|e| e.to_string())?;
     let seeds_value = req
@@ -458,21 +521,18 @@ fn handle_submit(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Resu
         subscribers: Mutex::new(Vec::new()),
         reports: Mutex::new(Vec::new()),
     });
-    subscribe(&job, outgoing, stream_rounds);
+    subscribe(
+        &job,
+        control,
+        stream_rounds,
+        accepted_line(id, seeds.len() as u64),
+    )?;
     shared.jobs.lock().unwrap().insert(id, Arc::clone(&job));
-    outgoing
-        .control_tx
-        .send(event_line(vec![
-            ("event".into(), Value::str("accepted")),
-            ("job".into(), Value::UInt(id)),
-            ("trials".into(), Value::UInt(seeds.len() as u64)),
-        ]))
-        .map_err(|_| "connection closed".to_string())?;
     shared.enqueue(&job, &seeds);
     Ok(())
 }
 
-fn handle_attach(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Result<(), String> {
+fn handle_attach(shared: &Shared, control: &Sender<Outbound>, req: &Value) -> Result<(), String> {
     let id = req
         .get("job")
         .and_then(Value::as_u64)
@@ -484,38 +544,29 @@ fn handle_attach(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Resu
         .get(&id)
         .cloned()
         .ok_or_else(|| format!("no such job {id}"))?;
-    outgoing
-        .control_tx
-        .send(event_line(vec![
-            ("event".into(), Value::str("accepted")),
-            ("job".into(), Value::UInt(id)),
-            (
-                "trials".into(),
-                Value::UInt(job.remaining.load(Ordering::SeqCst) as u64),
-            ),
-        ]))
-        .map_err(|_| "connection closed".to_string())?;
-    subscribe(&job, outgoing, true);
-    Ok(())
+    let trials = job.remaining.load(Ordering::SeqCst) as u64;
+    subscribe(&job, control, true, accepted_line(id, trials))
 }
 
 /// Returns `false` when the connection should stop serving (shutdown).
-fn handle_request(shared: &Shared, outgoing: &Arc<Outgoing>, line: &str) -> bool {
+fn handle_request(shared: &Shared, control: &Sender<Outbound>, line: &str) -> bool {
     let parsed = match Value::parse(line) {
         Ok(v) => v,
         Err(e) => {
-            let _ = outgoing.control_tx.send(error_line(&e.to_string()));
+            let _ = control.send(Outbound::Line(error_line(&e.to_string())));
             return true;
         }
     };
     let op = parsed.get("op").and_then(Value::as_str).unwrap_or("");
     let result = match op {
-        "ping" => outgoing
-            .control_tx
-            .send(event_line(vec![("event".into(), Value::str("pong"))]))
+        "ping" => control
+            .send(Outbound::Line(event_line(vec![(
+                "event".into(),
+                Value::str("pong"),
+            )])))
             .map_err(|_| "connection closed".to_string()),
-        "submit" => handle_submit(shared, outgoing, &parsed),
-        "attach" => handle_attach(shared, outgoing, &parsed),
+        "submit" => handle_submit(shared, control, &parsed),
+        "attach" => handle_attach(shared, control, &parsed),
         "shutdown" => {
             shared.begin_shutdown();
             return false;
@@ -523,13 +574,13 @@ fn handle_request(shared: &Shared, outgoing: &Arc<Outgoing>, line: &str) -> bool
         other => Err(format!("unknown op '{other}'")),
     };
     if let Err(message) = result {
-        let _ = outgoing.control_tx.send(error_line(&message));
+        let _ = control.send(Outbound::Line(error_line(&message)));
     }
     true
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(write_half) = server_write_half(&stream) else {
         return;
     };
     if let Ok(shutdown_handle) = stream.try_clone() {
@@ -538,13 +589,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         conns.push(shutdown_handle);
     }
     let (control_tx, control_rx) = std::sync::mpsc::channel();
-    let outgoing = Arc::new(Outgoing {
-        control_tx,
-        round_rxs: Mutex::new(Vec::new()),
-    });
-    let writer_outgoing = Arc::clone(&outgoing);
     thread::scope(|scope| {
-        scope.spawn(move || writer_loop(shared, &writer_outgoing, &control_rx, write_half));
+        scope.spawn(move || writer_loop(shared, &control_rx, write_half));
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         loop {
@@ -556,7 +602,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     if trimmed.is_empty() {
                         continue;
                     }
-                    if !handle_request(shared, &outgoing, trimmed) {
+                    if !handle_request(shared, &control_tx, trimmed) {
                         break;
                     }
                 }
@@ -678,6 +724,7 @@ impl Client {
     /// Propagates the connect failure.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { reader, stream })
     }
@@ -717,15 +764,13 @@ impl Client {
         self.send_line(&line)
     }
 
-    /// Sends one raw request line.
+    /// Sends one raw request line, newline-terminated, in one write.
     ///
     /// # Errors
     ///
     /// Propagates the socket write failure.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        write_line(&mut self.stream, line)
     }
 
     /// Blocks for the next event; `None` on a closed connection.
@@ -856,6 +901,15 @@ impl Client {
     }
 }
 
+/// Writes `line` plus its newline in one `write_all`: two writes would
+/// leave the second waiting on the peer's delayed ACK.
+fn write_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    out.write_all(framed.as_bytes())
+}
+
 /// What [`Client::collect_job`] gathered for one job.
 #[derive(Debug)]
 pub struct JobResult {
@@ -892,4 +946,158 @@ pub fn reference_report(spec: &ScenarioSpec, seed: u64) -> Result<String, String
         .map_err(|e| e.to_string())?;
     let report = sim.run(seed).map_err(|e| e.to_string())?;
     Ok(encode_run_report(&report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keeps every `write` call's bytes as one entry.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_line_is_one_contiguous_write() {
+        let mut out = Writes::default();
+        write_line(&mut out, "{\"op\":\"ping\"}").unwrap();
+        assert_eq!(out.0, vec![b"{\"op\":\"ping\"}\n".to_vec()]);
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+        let (accepted, _) = listener.accept().unwrap();
+        let write_half = server_write_half(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert!(write_half.get_ref().nodelay().unwrap());
+    }
+
+    /// A two-trial job as its connection's senders produce it, in
+    /// program order: the reader's `accepted`, then the worker's rounds,
+    /// reports and `done`.
+    const SENDS: [&str; 7] = [
+        "accepted", "round 1", "report 1", "round 2", "round 3", "report 2", "done",
+    ];
+
+    /// One step of a sender/writer interleaving.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// The next line of [`SENDS`] goes onto its channel.
+        Send,
+        /// The writer takes one message off the control channel.
+        Recv,
+        /// The writer drains the round channels.
+        Drain,
+    }
+
+    /// Runs `steps` from a fresh connection and returns the bytes
+    /// written plus the steps enabled next.
+    fn replay(steps: &[Step]) -> (String, Vec<Step>) {
+        let (control_tx, control_rx) = std::sync::mpsc::channel();
+        let (mut sink, rx) = RoundSink::bounded(SENDS.len());
+        let mut rx = Some(rx);
+        let mut writer = ConnWriter {
+            out: Vec::new(),
+            rounds: Vec::new(),
+        };
+        let (mut sent, mut controls_sent, mut received) = (0, 0, 0);
+        for step in steps {
+            match step {
+                Step::Send => {
+                    let line = format!("{}\n", SENDS[sent]);
+                    sent += 1;
+                    if line.starts_with("round") {
+                        sink.offer(line);
+                        continue;
+                    }
+                    let message = match rx.take() {
+                        Some(rounds) => Outbound::Accepted { line, rounds },
+                        None => Outbound::Line(line),
+                    };
+                    control_tx.send(message).unwrap();
+                    controls_sent += 1;
+                }
+                Step::Recv => {
+                    writer.write(control_rx.try_recv().unwrap()).unwrap();
+                    received += 1;
+                }
+                Step::Drain => writer.drain_rounds().unwrap(),
+            }
+        }
+        let out = String::from_utf8(writer.out).unwrap();
+        let rounds_sent = SENDS[..sent].iter().filter(|l| l.starts_with("round"));
+        let rounds_pending = rounds_sent.count() > out.matches("round").count();
+        let mut enabled = Vec::new();
+        if sent < SENDS.len() {
+            enabled.push(Step::Send);
+        }
+        if received < controls_sent {
+            enabled.push(Step::Recv);
+        }
+        if rounds_pending && !writer.rounds.is_empty() {
+            enabled.push(Step::Drain);
+        }
+        (out, enabled)
+    }
+
+    /// The wire order contract on one finished connection's bytes:
+    /// every line once, `accepted` before every round, each report and
+    /// `done` after every line sent before it, rounds in send order.
+    /// Rounds sent after a report may overtake it.
+    fn check_wire_order(out: &str, steps: &[Step]) {
+        let lines: Vec<&str> = out.lines().collect();
+        let mut sorted = lines.clone();
+        sorted.sort_unstable();
+        let mut expected = SENDS.to_vec();
+        expected.sort_unstable();
+        assert_eq!(sorted, expected, "interleaving {steps:?}");
+        let pos = |line: &str| lines.iter().position(|l| *l == line).unwrap();
+        let is_round = |line: &str| line.starts_with("round");
+        for (c, control) in SENDS.iter().enumerate() {
+            if !is_round(control) {
+                for earlier in &SENDS[..c] {
+                    assert!(pos(earlier) < pos(control), "{out}: {steps:?}");
+                }
+            }
+        }
+        let rounds: Vec<&str> = lines.iter().copied().filter(|l| is_round(l)).collect();
+        let sent: Vec<&str> = SENDS.iter().copied().filter(|l| is_round(l)).collect();
+        assert_eq!(rounds, sent, "interleaving {steps:?}");
+        assert!(pos("accepted") < pos(sent[0]), "{out}: {steps:?}");
+    }
+
+    fn explore(steps: &mut Vec<Step>, finals: &mut usize) {
+        let (out, enabled) = replay(steps);
+        if enabled.is_empty() {
+            check_wire_order(&out, steps);
+            *finals += 1;
+        }
+        for step in enabled {
+            steps.push(step);
+            explore(steps, finals);
+            steps.pop();
+        }
+    }
+
+    /// Every interleaving of the senders with the writer's steps keeps
+    /// the wire order contract, however late the writer wakes.
+    #[test]
+    fn every_interleaving_keeps_the_send_order_on_the_wire() {
+        let mut finals = 0;
+        explore(&mut Vec::new(), &mut finals);
+        assert!(finals > 100, "only {finals} interleavings explored");
+    }
 }

@@ -1,11 +1,13 @@
 //! The server-side determinism contract: reports read off the socket
 //! are byte-identical to in-process runs, for any number of concurrent
-//! clients and subscribers.
+//! clients and subscribers; and every round a trial runs reaches each
+//! streaming subscriber after its `accepted`, or is counted as dropped.
 
 use std::thread;
 
-use sinr_core::sim::{ProtocolSpec, ScenarioSpec, TopologySpec};
-use sinr_serve::{reference_report, request_shutdown, Client, Server};
+use sinr_core::sim::{decode_run_report, ProtocolSpec, ScenarioSpec, TopologySpec};
+use sinr_serve::{reference_report, request_shutdown, Client, JobResult, Server};
+use sinr_wire::Value;
 
 fn test_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(
@@ -19,6 +21,47 @@ fn test_spec() -> ScenarioSpec {
     spec.budget = Some(300);
     spec.record = true;
     spec
+}
+
+/// Reads events up to the next `accepted`, returning its job id and
+/// the `round` events that arrived before it.
+fn accept_counting_early_rounds(client: &mut Client) -> (u64, u64) {
+    let mut early = 0;
+    loop {
+        let event = client
+            .next_event()
+            .expect("read")
+            .expect("connection closed before accepted");
+        match event.kind.as_str() {
+            "accepted" => {
+                let job = event.body.get("job").and_then(Value::as_u64);
+                return (job.expect("accepted carries a job id"), early);
+            }
+            "round" => early += 1,
+            "pong" => {}
+            other => panic!("unexpected '{other}' event before accepted"),
+        }
+    }
+}
+
+/// Rounds the job's trials ran, summed over its reports.
+fn report_rounds(result: &JobResult) -> u64 {
+    result
+        .reports
+        .iter()
+        .map(|(_, report)| decode_run_report(report).expect("decode report").rounds)
+        .sum()
+}
+
+/// A subscriber that streamed the whole job saw every round or had it
+/// counted as dropped.
+fn assert_rounds_accounted(result: &JobResult, early: u64) {
+    assert_eq!(early, 0, "round events arrived before accepted");
+    assert_eq!(
+        result.rounds_seen + result.dropped_rounds,
+        report_rounds(result),
+        "round events seen plus dropped differ from the reports' rounds"
+    );
 }
 
 #[test]
@@ -46,7 +89,7 @@ fn concurrent_clients_get_byte_identical_reports() {
                 // subscribers must see identical bytes too.
                 let stream = client_idx % 2 == 0;
                 client.submit(spec, &seeds, stream).expect("submit");
-                let job = client.expect_accepted().expect("accepted");
+                let (job, early) = accept_counting_early_rounds(&mut client);
                 let result = client.collect_job(job).expect("collect");
                 assert_eq!(result.reports.len(), seeds.len());
                 for (i, &seed) in seeds.iter().enumerate() {
@@ -56,8 +99,14 @@ fn concurrent_clients_get_byte_identical_reports() {
                         "client {client_idx}: server bytes differ from in-process run"
                     );
                 }
-                if !stream {
-                    assert_eq!(result.rounds_seen, 0, "report-only client saw rounds");
+                if stream {
+                    assert_rounds_accounted(&result, early);
+                } else {
+                    assert_eq!(
+                        early + result.rounds_seen,
+                        0,
+                        "report-only client saw rounds"
+                    );
                 }
             });
         }
@@ -78,26 +127,64 @@ fn attached_subscriber_sees_the_same_reports() {
 
     let mut submitter = Client::connect(addr).expect("connect submitter");
     submitter.submit(&spec, &seeds, true).expect("submit");
-    let job = submitter.expect_accepted().expect("accepted");
+    let (job, early) = accept_counting_early_rounds(&mut submitter);
 
     // Second subscriber on the same job from a separate connection —
     // whether it attaches mid-run or after completion, it must end up
     // with the same report bytes (late attaches replay from the log).
     let mut watcher = Client::connect(addr).expect("connect watcher");
     watcher.attach(job).expect("attach");
-    watcher.expect_accepted().expect("attach accepted");
+    let (attached, watcher_early) = accept_counting_early_rounds(&mut watcher);
+    assert_eq!(attached, job);
+    assert_eq!(watcher_early, 0, "round events arrived before accepted");
 
     let submitted = submitter.collect_job(job).expect("submitter collect");
     let watched = watcher.collect_job(job).expect("watcher collect");
 
     assert_eq!(submitted.reports.len(), seeds.len());
     assert_eq!(watched.reports.len(), seeds.len());
+    assert_rounds_accounted(&submitted, early);
+    // The watcher misses the rounds run before it attached, unseen and
+    // undropped.
+    assert!(watched.rounds_seen + watched.dropped_rounds <= report_rounds(&watched));
     for &seed in &seeds {
         let a = submitted.report_for(seed).expect("submitter report");
         let b = watched.report_for(seed).expect("watcher report");
         assert_eq!(a, b, "subscribers disagree on seed {seed}");
         let reference = reference_report(&spec, seed).expect("in-process run");
         assert_eq!(a, reference, "server bytes differ from in-process run");
+    }
+
+    request_shutdown(addr).expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+/// Pings sent ahead of each submit. Their `pong`s queue on the writer
+/// ahead of the job's `accepted`, so the worker starts the job while the
+/// writer is still behind.
+const PINGS_PER_SUBMIT: usize = 1024;
+
+/// Closed-loop submits on one connection. A writer that lets rounds
+/// overtake `accepted` shows it on about one submit in ten on a 2-core
+/// machine, so 64 submits miss it with probability ~0.1%.
+const SUBMITS: u64 = 64;
+
+#[test]
+fn no_round_precedes_accepted_and_every_round_is_accounted() {
+    let server = Server::bind("127.0.0.1:0", 1).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = thread::spawn(move || server.run().expect("server run"));
+
+    let spec = test_spec();
+    let mut client = Client::connect(addr).expect("connect");
+    for seed in 0..SUBMITS {
+        for _ in 0..PINGS_PER_SUBMIT {
+            client.send_line("{\"op\":\"ping\"}").expect("ping");
+        }
+        client.submit(&spec, &[seed], true).expect("submit");
+        let (job, early) = accept_counting_early_rounds(&mut client);
+        let result = client.collect_job(job).expect("collect");
+        assert_rounds_accounted(&result, early);
     }
 
     request_shutdown(addr).expect("shutdown");
