@@ -12,9 +12,11 @@
 //!   ([`sinr_phy::CommGraph::cut_vertices_into`]) a cut-vertex kill
 //!   schedule pays per strike: one scratch-reusing iterative Tarjan
 //!   DFS, `O(n+m)`;
-//! * `degradation/fault_plan_epoch/<n>` — one adversary boundary as the
-//!   engine shapes it: in-place communication-graph refresh plus a
-//!   composed blackout + jamming plan over the refreshed graph.
+//! * `degradation/fault_plan_epoch_x16/<n>` — sixteen adversary
+//!   boundaries as the engine shapes them: in-place communication-graph
+//!   refresh plus a composed blackout + jamming plan over the refreshed
+//!   graph (batched so the row clears the `bench_gate` timing floor on
+//!   CI, where sub-floor rows are skipped rather than gated).
 //!
 //! After the rows, full (non-`--quick`) runs print the degradation-curve
 //! table: final live-population coverage, completion latency and energy
@@ -94,20 +96,22 @@ pub fn run(session: &mut Session) {
         let mut delta = FaultDelta::default();
         let mut plan_scratch = GraphScratch::new();
         let mut epoch = 0u64;
-        session.bench(&format!("degradation/fault_plan_epoch/{n}"), n, || {
-            net.refresh_comm_graph();
-            delta.clear();
-            let view = FaultView {
-                epoch,
-                round: (epoch + 1) * 8,
-                alive: net.alive(),
-                graph: net.comm_graph(),
-                next_phase: None,
-                protected: 0,
-            };
-            plans.plan(&view, &mut delta, &mut plan_scratch);
-            epoch += 1;
-            black_box(delta.kills.len() + delta.jammers.len());
+        session.bench(&format!("degradation/fault_plan_epoch_x16/{n}"), n, || {
+            for _ in 0..16 {
+                net.refresh_comm_graph();
+                delta.clear();
+                let view = FaultView {
+                    epoch,
+                    round: (epoch + 1) * 8,
+                    alive: net.alive(),
+                    graph: net.comm_graph(),
+                    next_phase: None,
+                    protected: 0,
+                };
+                plans.plan(&view, &mut delta, &mut plan_scratch);
+                epoch += 1;
+                black_box(delta.kills.len() + delta.jammers.len());
+            }
         });
     }
 

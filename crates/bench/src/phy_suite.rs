@@ -7,7 +7,8 @@
 //! perf trajectory and the interactive bench measure the same cases.
 //! Naming scheme: `oracle/...` is the reusable zero-allocation oracle;
 //! `oracle/grid_native_r4_t<k>/...` rows shard the accumulate stage
-//! across `k` physics threads ([`KernelPool`]).
+//! across `k` physics threads ([`KernelPool`]); the
+//! `oracle/grid_native_sparse4/...` row resolves a 4-transmitter round.
 
 use sinr_geometry::GridIndex;
 use sinr_netgen::uniform;
@@ -97,6 +98,28 @@ pub fn run(session: &mut Session) {
             });
         }
     }
+
+    // The low-activity regime of the paper's S-broadcast (≈4 transmitters
+    // per round at n = 10⁴): the grid-native decode-candidate path costs
+    // O(active) here, not O(n).
+    let n = session.pick(10_000, 2_500);
+    let side = uniform::side_for_density(n, DENSITY);
+    let pts = uniform::square(n, side, 7);
+    let grid = GridIndex::build(&pts, 1.0);
+    let tx: Vec<usize> = (0..n).step_by(n / 4).collect();
+    let mut oracle = ReceptionOracle::for_stations(n);
+    let mut out = RoundOutcome::empty();
+    session.bench(&format!("oracle/grid_native_sparse4/{n}"), n, || {
+        oracle.resolve_into(
+            &pts,
+            &params,
+            &tx,
+            InterferenceMode::grid_native(),
+            Some(&grid),
+            &mut out,
+        );
+        black_box(&out);
+    });
 
     // Transmitter-density scaling of the exact kernel.
     let n = session.pick(1024, 512);

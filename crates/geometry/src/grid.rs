@@ -818,6 +818,25 @@ impl GridIndex {
         });
     }
 
+    /// Calls `f` with every populated cell whose key lies in the key box
+    /// of the axis-aligned cube of half-width `half_width` around `center`
+    /// (trailing axes ignored), in lexicographic key order, without
+    /// allocating.
+    ///
+    /// Every indexed point within Chebyshev distance `half_width` of
+    /// `center` lies in one of these cells: the box bounds are the floors
+    /// of the rounded cube faces, the point keys the floors of the
+    /// rounded point coordinates, and rounding is monotone.
+    pub fn for_each_cell_in_box_at(
+        &self,
+        center: [f64; 3],
+        half_width: f64,
+        mut f: impl FnMut(usize),
+    ) {
+        let (lo, hi) = self.query_box_coords(&center, half_width);
+        self.for_each_candidate_cell(&lo, &hi, &mut f);
+    }
+
     /// Nearest indexed point to `center` other than `exclude` (pass
     /// `usize::MAX` to exclude nothing). Returns `None` for an empty index or
     /// when the only point is excluded.
@@ -916,8 +935,15 @@ impl GridIndex {
         hi: &CellKey,
         f: &mut impl FnMut(usize),
     ) {
-        if axis == self.axes {
-            if let Ok(c) = self.keys.binary_search(key) {
+        if axis + 1 == self.axes {
+            // The last axis: a row's populated cells are contiguous in key
+            // order, so one search finds its first cell and a scan the rest.
+            key[axis] = lo[axis];
+            let first = self.keys.partition_point(|k| k < key);
+            for (c, k) in self.keys.iter().enumerate().skip(first) {
+                if k[..axis] != key[..axis] || k[axis] > hi[axis] {
+                    break;
+                }
                 f(c);
             }
             return;
@@ -1131,6 +1157,53 @@ mod tests {
             idx.for_each_in_ball(&pts, Point2::new(0.2, -0.1), r, |i| visited.push(i));
             visited.sort_unstable();
             assert_eq!(visited, idx.ball_vec(&pts, Point2::new(0.2, -0.1), r));
+        }
+    }
+
+    /// The box walk visits exactly the populated cells whose keys lie in
+    /// the box, in key order, so it covers every point within Chebyshev
+    /// distance `half_width` of the center.
+    fn check_box_walk<P: MetricPoint>(pts: &[P], side: f64, centers: &[P]) {
+        let idx = GridIndex::build(pts, side);
+        for center in centers {
+            for half_width in [0.2, 1.0, 1.0 + 1e-9, 2.7, 1e3] {
+                let mut visited = Vec::new();
+                idx.for_each_cell_in_box_at(center.coords(), half_width, |c| visited.push(c));
+                let (lo, hi) = idx.query_box(center, half_width);
+                let expected: Vec<usize> = (0..idx.num_cells())
+                    .filter(|&c| {
+                        let k = idx.cell_key(c);
+                        (0..P::AXES).all(|a| k[a] >= lo[a] && k[a] <= hi[a])
+                    })
+                    .collect();
+                assert_eq!(visited, expected, "half-width {half_width}");
+                for p in pts {
+                    let cheb = (0..P::AXES)
+                        .map(|a| (p.coord(a) - center.coord(a)).abs())
+                        .fold(0.0, f64::max);
+                    if cheb <= half_width {
+                        let key = idx.key_for(p);
+                        let c = idx.keys.binary_search(&key).unwrap();
+                        assert!(visited.contains(&c), "point in reach outside the walk");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn box_walk_visits_exactly_the_cells_in_the_key_box() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        let mut coord = || rng.gen_range(-3.0..3.0);
+        let pts1: Vec<Point1> = (0..60).map(|_| Point1::new(coord())).collect();
+        let pts2: Vec<Point2> = (0..200).map(|_| Point2::new(coord(), coord())).collect();
+        let pts3: Vec<Point3> = (0..300)
+            .map(|_| Point3::new(coord(), coord(), coord()))
+            .collect();
+        for side in [0.5, 1.0, 2.0] {
+            check_box_walk(&pts1, side, &pts1[..8]);
+            check_box_walk(&pts2, side, &pts2[..8]);
+            check_box_walk(&pts3, side, &pts3[..8]);
         }
     }
 

@@ -475,8 +475,10 @@ mod tests {
         let mode = InterferenceMode::CellAggregate { near_radius: 4.0 };
         let mut a = ReceptionOracle::new();
         let mut b = ReceptionOracle::new();
-        let out_a = a.resolve(&pts, &p, &tx, mode, Some(&grid));
-        let out_b = b.resolve(&pts, &p, &tx, mode, Some(&grid));
+        let mut pool = crate::KernelPool::serial();
+        let (mut out_a, mut out_b) = (RoundOutcome::empty(), RoundOutcome::empty());
+        a.resolve_power_into(&pts, &p, &tx, mode, Some(&grid), &mut pool, &mut out_a);
+        b.resolve_power_into(&pts, &p, &tx, mode, Some(&grid), &mut pool, &mut out_b);
         assert_eq!(out_a, out_b);
         for (u, (x, y)) in a
             .received_power()

@@ -126,6 +126,64 @@ fn steady_state_round_resolution_allocates_nothing() {
     assert_eq!(out.num_transmitters, tx_small.len());
     assert!(out.decoded_from.len() == n);
 
+    // --- Sparse rounds and the received-power diagnostic ---
+    //
+    // 0–4 transmitters, a different set every round, so the grid-native
+    // decode-candidate cells change between rounds; and the diagnostic
+    // entry, which resolves every cell. After one warm-up pass over the
+    // diagnostic (the candidate path was warmed above by `tx_big`,
+    // whose candidate cells outnumber any sparse set's), neither
+    // allocates.
+    let sparse: Vec<Vec<usize>> = (0..10)
+        .map(|r| (0..r % 5).map(|k| (r * 37 + k * 101) % n).collect())
+        .collect();
+    for mode in modes {
+        oracle.resolve_power_into(
+            &pts,
+            &params,
+            &tx_big,
+            mode,
+            Some(&grid),
+            &mut pool,
+            &mut out,
+        );
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut sparse_decodes = 0;
+    for _pass in 0..5 {
+        for tx in &sparse {
+            oracle.resolve_into_with(
+                &pts,
+                &params,
+                tx,
+                InterferenceMode::grid_native(),
+                Some(&grid),
+                &mut pool,
+                &mut out,
+            );
+            sparse_decodes += out.decoded_from.iter().flatten().count();
+            for mode in modes {
+                oracle.resolve_power_into(
+                    &pts,
+                    &params,
+                    tx,
+                    mode,
+                    Some(&grid),
+                    &mut pool,
+                    &mut out,
+                );
+            }
+        }
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "sparse candidate rounds and the power diagnostic performed {} heap allocations",
+        after - before
+    );
+    assert!(sparse_decodes > 0, "sparse rounds must decode something");
+
     // --- The epoch reindex path of dynamic topologies ---
     //
     // Stations oscillate between two configurations — each recomputed

@@ -56,7 +56,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -202,9 +202,12 @@ impl Job {
     }
 
     /// Per-subscriber completion notice carrying that subscriber's own
-    /// round-drop count.
+    /// round-drop count. Releases the subscribers afterwards: no round
+    /// follows `done`, and dropping their round senders lets each
+    /// connection's writer discard the drained channel.
     fn finish(&self) {
-        for sub in self.subscribers.lock().unwrap().iter() {
+        let subscribers = std::mem::take(&mut *self.subscribers.lock().unwrap());
+        for sub in &subscribers {
             let dropped = sub.dropped();
             sub.push_control(done_line(self.id, dropped));
         }
@@ -372,17 +375,25 @@ fn worker(shared: &Shared) {
 // ---------------------------------------------------------------------
 
 /// The writer thread's half of a connection: the buffered socket and
-/// the round channels of every job subscribed on it.
+/// the round channels of the unfinished jobs subscribed on it.
 struct ConnWriter<W> {
     out: W,
     rounds: Vec<Receiver<String>>,
 }
 
 impl<W: Write> ConnWriter<W> {
+    /// Writes every queued round line. A channel whose sender is gone
+    /// (its job finished, see [`Job::finish`]) is dropped once drained,
+    /// so a wake-up polls only the connection's unfinished jobs.
     fn drain_rounds(&mut self) -> io::Result<()> {
-        for rx in &self.rounds {
-            for line in rx.try_iter() {
-                self.out.write_all(line.as_bytes())?;
+        let mut i = 0;
+        while i < self.rounds.len() {
+            match self.rounds[i].try_recv() {
+                Ok(line) => self.out.write_all(line.as_bytes())?,
+                Err(TryRecvError::Empty) => i += 1,
+                Err(TryRecvError::Disconnected) => {
+                    self.rounds.remove(i);
+                }
             }
         }
         Ok(())
@@ -951,6 +962,7 @@ pub fn reference_report(spec: &ScenarioSpec, seed: u64) -> Result<String, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sinr_core::sim::{ProtocolSpec, TopologySpec};
 
     /// Keeps every `write` call's bytes as one entry.
     #[derive(Default)]
@@ -1090,6 +1102,50 @@ mod tests {
             explore(steps, finals);
             steps.pop();
         }
+    }
+
+    /// A connection's writer lets go of each job's round channel once the
+    /// job is done: after K sequential jobs it polls none of them.
+    #[test]
+    fn finished_jobs_leave_no_round_channel_on_the_writer() {
+        const K: u64 = 5;
+        let (control_tx, control_rx) = std::sync::mpsc::channel();
+        let mut writer = ConnWriter {
+            out: Vec::new(),
+            rounds: Vec::new(),
+        };
+        for id in 1..=K {
+            let job = Arc::new(Job {
+                id,
+                spec: ScenarioSpec::new(
+                    TopologySpec::UniformSquare { n: 10, side: 1.5 },
+                    ProtocolSpec::FloodBroadcast { source: 0, p: 0.5 },
+                ),
+                remaining: AtomicUsize::new(1),
+                subscribers: Mutex::new(Vec::new()),
+                reports: Mutex::new(Vec::new()),
+            });
+            subscribe(&job, &control_tx, true, format!("accepted {id}\n")).unwrap();
+            job.fan_round(&format!("round {id}\n"));
+            job.push_report(format!("report {id}\n"));
+            job.remaining.store(0, Ordering::SeqCst);
+            job.finish();
+            for message in control_rx.try_iter() {
+                writer.write(message).unwrap();
+            }
+            writer.drain_rounds().unwrap();
+            assert!(writer.rounds.is_empty(), "job {id} left its round channel");
+        }
+        let out = String::from_utf8(writer.out).unwrap();
+        let expected: String = (1..=K)
+            .map(|id| {
+                format!(
+                    "accepted {id}\nround {id}\nreport {id}\n{}",
+                    done_line(id, 0)
+                )
+            })
+            .collect();
+        assert_eq!(out, expected);
     }
 
     /// Every interleaving of the senders with the writer's steps keeps

@@ -19,8 +19,8 @@ use sinr_broadcast::geometry::{GridIndex, Point2, RepairPolicy};
 use sinr_broadcast::netgen::churn::{ChurnModel, ChurnProcess};
 use sinr_broadcast::netgen::{cluster, grid as lattice, line, uniform};
 use sinr_broadcast::phy::{
-    ChurnDelta, CommGraph, GraphScratch, InterferenceMode, ReceptionOracle, RoundOutcome,
-    SinrParams,
+    ChurnDelta, CommGraph, GraphScratch, InterferenceMode, KernelPool, ReceptionOracle,
+    RoundOutcome, SinrParams,
 };
 
 /// One deployment per topology family (raw generator output — the
@@ -240,6 +240,41 @@ fn oracle_rounds_on_churned_network_match_fresh_compacted_network() {
                     assert_eq!(
                         got, fresh.decoded_from[m],
                         "{family}/{mode:?} epoch {epoch}: decode at station {i}"
+                    );
+                }
+                // Every live station's power, through the diagnostic entry.
+                let mut pool = KernelPool::serial();
+                let mut fresh_out = RoundOutcome::empty();
+                reused.resolve_power_into(
+                    &points,
+                    &params,
+                    &tx,
+                    mode,
+                    Some(&idx),
+                    &mut pool,
+                    &mut out,
+                );
+                fresh_oracle.resolve_power_into(
+                    &survivors,
+                    &params,
+                    &tx_fresh,
+                    mode,
+                    Some(&fresh_idx),
+                    &mut pool,
+                    &mut fresh_out,
+                );
+                assert_eq!(
+                    fresh_out, fresh,
+                    "{family}/{mode:?} epoch {epoch}: diagnostic"
+                );
+                for (i, &m) in map.iter().enumerate() {
+                    if m == usize::MAX {
+                        continue;
+                    }
+                    let got = out.decoded_from[i].map(|t| map[t]);
+                    assert_eq!(
+                        got, fresh.decoded_from[m],
+                        "{family}/{mode:?} epoch {epoch}: diagnostic decode at station {i}"
                     );
                     assert_eq!(
                         reused.received_power()[i].to_bits(),

@@ -18,7 +18,9 @@
 use sinr_broadcast::geometry::{GridIndex, MetricPoint, Point2, RepairPolicy};
 use sinr_broadcast::netgen::mobility::{Mobility, MobilityModel};
 use sinr_broadcast::netgen::{cluster, grid as lattice, line, uniform};
-use sinr_broadcast::phy::{InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams};
+use sinr_broadcast::phy::{
+    InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome, SinrParams,
+};
 use sinr_broadcast::sim::{MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
 
 /// One deployment per topology family (raw generator output — the grid
@@ -152,6 +154,32 @@ fn oracle_rounds_agree_between_rebuilt_and_fresh_structures() {
                 let mut fresh_oracle = ReceptionOracle::new();
                 let fresh = fresh_oracle.resolve(&pts, &params, &tx, mode, Some(&fresh_idx));
                 assert_eq!(out, fresh, "{family}/{mode:?} epoch {epoch}");
+                // Every station's power, through the diagnostic entry.
+                let mut pool = KernelPool::serial();
+                let mut fresh_out = RoundOutcome::empty();
+                reused.resolve_power_into(
+                    &pts,
+                    &params,
+                    &tx,
+                    mode,
+                    Some(&idx),
+                    &mut pool,
+                    &mut out,
+                );
+                fresh_oracle.resolve_power_into(
+                    &pts,
+                    &params,
+                    &tx,
+                    mode,
+                    Some(&fresh_idx),
+                    &mut pool,
+                    &mut fresh_out,
+                );
+                assert_eq!(out, fresh, "{family}/{mode:?} epoch {epoch}: diagnostic");
+                assert_eq!(
+                    fresh_out, fresh,
+                    "{family}/{mode:?} epoch {epoch}: diagnostic"
+                );
                 for (u, (a, b)) in reused
                     .received_power()
                     .iter()

@@ -27,7 +27,9 @@ use rand::{Rng, SeedableRng, SmallRng};
 
 use sinr_broadcast::geometry::{GridIndex, Point2, RepairPolicy};
 use sinr_broadcast::netgen::uniform;
-use sinr_broadcast::phy::{CommGraph, InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams};
+use sinr_broadcast::phy::{
+    CommGraph, InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome, SinrParams,
+};
 use sinr_broadcast::sim::{ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
 
 fn all_modes() -> [InterferenceMode; 4] {
@@ -167,6 +169,35 @@ fn oracle_rounds_agree_between_repaired_and_fresh_structures() {
             let mut fresh_oracle = ReceptionOracle::new();
             let fresh = fresh_oracle.resolve(&points, &params, &tx, mode, Some(&fresh_idx));
             assert_eq!(out, fresh, "{mode:?} step {step}: outcomes diverged");
+            // Every station's power, through the diagnostic entry.
+            let mut pool = KernelPool::serial();
+            let mut fresh_out = RoundOutcome::empty();
+            reused.resolve_power_into(
+                &points,
+                &params,
+                &tx,
+                mode,
+                Some(&grid),
+                &mut pool,
+                &mut out,
+            );
+            fresh_oracle.resolve_power_into(
+                &points,
+                &params,
+                &tx,
+                mode,
+                Some(&fresh_idx),
+                &mut pool,
+                &mut fresh_out,
+            );
+            assert_eq!(
+                out, fresh,
+                "{mode:?} step {step}: diagnostic outcomes diverged"
+            );
+            assert_eq!(
+                fresh_out, fresh,
+                "{mode:?} step {step}: diagnostic outcomes diverged"
+            );
             for (u, (a, b)) in reused
                 .received_power()
                 .iter()

@@ -34,7 +34,9 @@ use sinr_broadcast::core::Constants;
 use sinr_broadcast::geometry::{
     hardware_tier, radius_criterion, GridIndex, Point1, Point2, Point3, PositionStore, SimdTier,
 };
-use sinr_broadcast::phy::{InterferenceMode, ReceptionOracle, SinrParams};
+use sinr_broadcast::phy::{
+    InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome, SinrParams,
+};
 
 /// `MIN_DISTANCE²` — the clamp floor of `signal_at_sq*`.
 const MIN2: f64 = SinrParams::MIN_DISTANCE * SinrParams::MIN_DISTANCE;
@@ -346,11 +348,31 @@ fn f32_tail_error_stays_within_the_documented_bound_at_ten_thousand_stations() {
             .alpha(alpha)
             .build(1.5)
             .expect("valid test params");
+        // The diagnostic entry, so every station's total is compared.
+        let mut pool = KernelPool::serial();
         let mut f64_oracle = ReceptionOracle::new();
-        let f64_out = f64_oracle.resolve(&pts, &params, &tx, mode, Some(&grid));
+        let mut f64_out = RoundOutcome::empty();
+        f64_oracle.resolve_power_into(
+            &pts,
+            &params,
+            &tx,
+            mode,
+            Some(&grid),
+            &mut pool,
+            &mut f64_out,
+        );
         let mut f32_oracle = ReceptionOracle::new();
         f32_oracle.set_accumulation(sinr_broadcast::phy::Accumulation::F32);
-        let f32_out = f32_oracle.resolve(&pts, &params, &tx, mode, Some(&grid));
+        let mut f32_out = RoundOutcome::empty();
+        f32_oracle.resolve_power_into(
+            &pts,
+            &params,
+            &tx,
+            mode,
+            Some(&grid),
+            &mut pool,
+            &mut f32_out,
+        );
         let mut worst = 0.0f64;
         for (a, b) in f64_oracle
             .received_power()
