@@ -8,7 +8,7 @@
 //! Naming scheme: `simd/<kernel>_x32/<dispatch>/<n>` where `<dispatch>`
 //! is `auto` (the cached hardware tier) or `scalar` (forced, the
 //! reference implementation every tier must match bit-for-bit), and one
-//! iteration runs the kernel [`BATCH`] times over the store (a single
+//! iteration runs the kernel `BATCH` times over the store (a single
 //! pass takes 3–20 µs, under `bench_gate`'s CI timing floor, where rows
 //! are skipped rather than gated). The per-row `tier`
 //! field records the machine's hardware tier at measurement time;

@@ -185,6 +185,12 @@
 //! error     = {"event":"error","message":string}
 //! ```
 //!
+//! A `submit` whose spec asks for more than 64 `physics_threads` (the
+//! server's fixed cap; a trial allocates and may spawn one shard per
+//! physics thread) gets an `error` event instead of `accepted`; so does
+//! any spec that fails decoding or [`Scenario::build`]. A rejected submit
+//! starts no trial and leaves the connection usable.
+//!
 //! On each connection a job's `accepted` precedes every `round` of that
 //! job, and each `report` and `done` follows the `round`s before it.
 //! Live `round` events flow through the lossy bounded [`StreamObserver`]

@@ -159,28 +159,10 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// Short stable name (table labels, traces).
+    /// Short stable name (table labels, traces): the protocol's wire tag,
+    /// declared once in [`crate::sim::wire`].
     pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolSpec::NoSBroadcast { .. } => "nos-broadcast",
-            ProtocolSpec::NoSBroadcastWithEstimate { .. } => "nos-broadcast-nu",
-            ProtocolSpec::SBroadcast { .. } => "s-broadcast",
-            ProtocolSpec::SBroadcastWithEstimate { .. } => "s-broadcast-nu",
-            ProtocolSpec::Coloring => "coloring",
-            ProtocolSpec::DaumBroadcast { .. } => "daum",
-            ProtocolSpec::FloodBroadcast { .. } => "flood",
-            ProtocolSpec::LocalBroadcast { .. } => "local-broadcast",
-            ProtocolSpec::ReFloodBroadcast { .. } => "re-flood",
-            ProtocolSpec::ReFloodBroadcastEstimate { .. } => "re-flood-online-nu",
-            ProtocolSpec::NoSBroadcastOnlineEstimate { .. } => "nos-broadcast-online-nu",
-            ProtocolSpec::SBroadcastOnlineEstimate { .. } => "s-broadcast-online-nu",
-            ProtocolSpec::GpsOracleBroadcast { .. } => "gps-oracle",
-            ProtocolSpec::AdhocWakeup { .. } => "adhoc-wakeup",
-            ProtocolSpec::EstablishedWakeup { .. } => "established-wakeup",
-            ProtocolSpec::Consensus { .. } => "consensus",
-            ProtocolSpec::LeaderElection { .. } => "leader-election",
-            ProtocolSpec::Alert { .. } => "alert",
-        }
+        super::wire::protocol_tag(self)
     }
 
     /// Whether the protocol runs a fixed, self-terminating schedule (its

@@ -11,12 +11,27 @@
 //! form**: fields in fixed schema order, no whitespace, `u64` exact.
 //! Encoding a decoded value reproduces the input bytes, so
 //! byte-identity of reports — the determinism contract — survives the
-//! wire; `tests` below and `crates/serve/tests/server_determinism.rs`
-//! pin this.
+//! wire; `crates/core/tests/wire_golden.rs` pins the bytes of every
+//! variant and `crates/serve/tests/server_determinism.rs` pins them
+//! across a socket.
 //!
-//! Enums are tagged objects: `{"kind":"<tag>", ...fields}`. Protocol
-//! tags reuse [`ProtocolSpec::name`]. Optional fields are always
-//! present, `null` when absent, keeping the schema self-describing.
+//! Enums are tagged objects: `{"kind":"<tag>", ...fields}`; a
+//! protocol's tag is its [`ProtocolSpec::name`]. Optional fields are
+//! always present, `null` when absent, keeping the schema
+//! self-describing.
+//!
+//! # One declaration per type
+//!
+//! Each schema type is declared exactly once below, and that one
+//! declaration generates both its encoder and its decoder (the private
+//! `Wire` trait): `wire_struct!` lists a struct's fields in wire order,
+//! `wire_enum!` lists an enum's variants as `Variant = "tag" { fields }`.
+//! No tag or field name is written once per direction, so the two
+//! cannot drift apart. Only irregular shapes are written by hand: the
+//! primitives, [`Coloring`] (a bare array), [`ChurnSpec`] (its model's
+//! fields flattened into its own object), the plain-string
+//! [`KernelDispatch`] and [`Accumulation`] labels, and the
+//! `measurements` map.
 
 use std::collections::BTreeMap;
 
@@ -64,900 +79,390 @@ impl From<sinr_wire::ParseError> for WireError {
 }
 
 // ---------------------------------------------------------------------
-// Decode helpers
+// The codec trait and its primitives
 // ---------------------------------------------------------------------
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, WireError> {
-    v.get(key)
-        .ok_or_else(|| WireError::new(format!("missing field '{key}'")))
+/// Both directions of one schema type's wire form.
+trait Wire: Sized {
+    fn to_value(&self) -> Value;
+    fn from_value(v: &Value) -> Result<Self, WireError>;
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, WireError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| WireError::new(format!("field '{key}' is not a u64")))
+/// The tag of an enum value: the `kind` of its wire object.
+trait Tagged {
+    fn tag(&self) -> &'static str;
 }
 
-fn usize_field(v: &Value, key: &str) -> Result<usize, WireError> {
-    field(v, key)?
-        .as_usize()
-        .ok_or_else(|| WireError::new(format!("field '{key}' is not a usize")))
+/// The key that carries an enum's tag.
+const KIND: &str = "kind";
+
+fn expect<T>(x: Option<T>, what: &str) -> Result<T, WireError> {
+    x.ok_or_else(|| WireError::new(format!("not {what}")))
 }
 
-fn u32_field(v: &Value, key: &str) -> Result<u32, WireError> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| WireError::new(format!("field '{key}' exceeds u32")))
+/// Decodes field `key` of object `v`, naming the key in any error.
+fn read<T: Wire>(v: &Value, key: &str) -> Result<T, WireError> {
+    let f = v
+        .get(key)
+        .ok_or_else(|| WireError::new(format!("missing field '{key}'")))?;
+    T::from_value(f).map_err(|e| WireError::new(format!("field '{key}': {}", e.message)))
 }
 
-fn f64_field(v: &Value, key: &str) -> Result<f64, WireError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| WireError::new(format!("field '{key}' is not a number")))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, WireError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| WireError::new(format!("field '{key}' is not a bool")))
-}
-
-fn array_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], WireError> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| WireError::new(format!("field '{key}' is not an array")))
-}
-
-fn opt_u64_field(v: &Value, key: &str) -> Result<Option<u64>, WireError> {
-    let f = field(v, key)?;
-    if f.is_null() {
-        Ok(None)
-    } else {
-        f.as_u64()
-            .map(Some)
-            .ok_or_else(|| WireError::new(format!("field '{key}' is not a u64 or null")))
+impl Wire for u64 {
+    fn to_value(&self) -> Value {
+        Value::UInt(*self)
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        expect(v.as_u64(), "a u64")
     }
 }
 
-fn kind(v: &Value) -> Result<&str, WireError> {
-    field(v, "kind")?
-        .as_str()
-        .ok_or_else(|| WireError::new("field 'kind' is not a string"))
-}
-
-fn opt_u64_value(o: Option<u64>) -> Value {
-    o.map_or(Value::Null, Value::UInt)
-}
-
-fn usize_value(u: usize) -> Value {
-    Value::UInt(u as u64)
-}
-
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("kind".to_string(), Value::str(tag))];
-    all.append(&mut fields);
-    Value::Object(all)
-}
-
-// ---------------------------------------------------------------------
-// Topology
-// ---------------------------------------------------------------------
-
-fn topology_to_value(t: &TopologySpec) -> Value {
-    let f = |k: &str, v: Value| (k.to_string(), v);
-    match *t {
-        TopologySpec::UniformSquare { n, side } => tagged(
-            "uniform-square",
-            vec![f("n", usize_value(n)), f("side", Value::Float(side))],
-        ),
-        TopologySpec::ConnectedSquare { n, side } => tagged(
-            "connected-square",
-            vec![f("n", usize_value(n)), f("side", Value::Float(side))],
-        ),
-        TopologySpec::ConnectedSquareDensity { n, density } => tagged(
-            "connected-square-density",
-            vec![f("n", usize_value(n)), f("density", Value::Float(density))],
-        ),
-        TopologySpec::UniformDisk { n, radius } => tagged(
-            "uniform-disk",
-            vec![f("n", usize_value(n)), f("radius", Value::Float(radius))],
-        ),
-        TopologySpec::Lattice {
-            rows,
-            cols,
-            spacing,
-        } => tagged(
-            "lattice",
-            vec![
-                f("rows", usize_value(rows)),
-                f("cols", usize_value(cols)),
-                f("spacing", Value::Float(spacing)),
-            ],
-        ),
-        TopologySpec::JitteredLattice {
-            rows,
-            cols,
-            spacing,
-            amplitude,
-        } => tagged(
-            "jittered-lattice",
-            vec![
-                f("rows", usize_value(rows)),
-                f("cols", usize_value(cols)),
-                f("spacing", Value::Float(spacing)),
-                f("amplitude", Value::Float(amplitude)),
-            ],
-        ),
-        TopologySpec::UniformLine { n, gap } => tagged(
-            "uniform-line",
-            vec![f("n", usize_value(n)), f("gap", Value::Float(gap))],
-        ),
-        TopologySpec::HalvingLine {
-            n,
-            first_gap,
-            ratio,
-            min_gap,
-        } => tagged(
-            "halving-line",
-            vec![
-                f("n", usize_value(n)),
-                f("first_gap", Value::Float(first_gap)),
-                f("ratio", Value::Float(ratio)),
-                f("min_gap", Value::Float(min_gap)),
-            ],
-        ),
-        TopologySpec::GranularityLine {
-            n,
-            max_gap,
-            rs_target,
-            min_gap,
-        } => tagged(
-            "granularity-line",
-            vec![
-                f("n", usize_value(n)),
-                f("max_gap", Value::Float(max_gap)),
-                f("rs_target", Value::Float(rs_target)),
-                f("min_gap", Value::Float(min_gap)),
-            ],
-        ),
-        TopologySpec::GranularityLineFixedD {
-            n,
-            max_gap,
-            rs_target,
-            d_hops,
-            min_gap,
-        } => tagged(
-            "granularity-line-fixed-d",
-            vec![
-                f("n", usize_value(n)),
-                f("max_gap", Value::Float(max_gap)),
-                f("rs_target", Value::Float(rs_target)),
-                f("d_hops", usize_value(d_hops)),
-                f("min_gap", Value::Float(min_gap)),
-            ],
-        ),
-        TopologySpec::ClusterChain {
-            diameter,
-            per_cluster,
-        } => tagged(
-            "cluster-chain",
-            vec![
-                f("diameter", Value::UInt(u64::from(diameter))),
-                f("per_cluster", usize_value(per_cluster)),
-            ],
-        ),
-        TopologySpec::GaussianClusters {
-            k,
-            per_cluster,
-            side,
-            sigma,
-        } => tagged(
-            "gaussian-clusters",
-            vec![
-                f("k", usize_value(k)),
-                f("per_cluster", usize_value(per_cluster)),
-                f("side", Value::Float(side)),
-                f("sigma", Value::Float(sigma)),
-            ],
-        ),
-        TopologySpec::CoreAndSatellites {
-            core_n,
-            sat_n,
-            core_radius,
-            sat_distance,
-        } => tagged(
-            "core-and-satellites",
-            vec![
-                f("core_n", usize_value(core_n)),
-                f("sat_n", usize_value(sat_n)),
-                f("core_radius", Value::Float(core_radius)),
-                f("sat_distance", Value::Float(sat_distance)),
-            ],
-        ),
-        TopologySpec::Ring { n, radius } => tagged(
-            "ring",
-            vec![f("n", usize_value(n)), f("radius", Value::Float(radius))],
-        ),
-        TopologySpec::Bridge {
-            blob_n,
-            corridor_n,
-            blob_side,
-        } => tagged(
-            "bridge",
-            vec![
-                f("blob_n", usize_value(blob_n)),
-                f("corridor_n", usize_value(corridor_n)),
-                f("blob_side", Value::Float(blob_side)),
-            ],
-        ),
-        TopologySpec::TwoTier {
-            dense_n,
-            ratio,
-            side,
-        } => tagged(
-            "two-tier",
-            vec![
-                f("dense_n", usize_value(dense_n)),
-                f("ratio", usize_value(ratio)),
-                f("side", Value::Float(side)),
-            ],
-        ),
+impl Wire for usize {
+    fn to_value(&self) -> Value {
+        Value::UInt(*self as u64)
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        expect(v.as_usize(), "a usize")
     }
 }
 
-fn topology_from_value(v: &Value) -> Result<TopologySpec, WireError> {
-    Ok(match kind(v)? {
-        "uniform-square" => TopologySpec::UniformSquare {
-            n: usize_field(v, "n")?,
-            side: f64_field(v, "side")?,
-        },
-        "connected-square" => TopologySpec::ConnectedSquare {
-            n: usize_field(v, "n")?,
-            side: f64_field(v, "side")?,
-        },
-        "connected-square-density" => TopologySpec::ConnectedSquareDensity {
-            n: usize_field(v, "n")?,
-            density: f64_field(v, "density")?,
-        },
-        "uniform-disk" => TopologySpec::UniformDisk {
-            n: usize_field(v, "n")?,
-            radius: f64_field(v, "radius")?,
-        },
-        "lattice" => TopologySpec::Lattice {
-            rows: usize_field(v, "rows")?,
-            cols: usize_field(v, "cols")?,
-            spacing: f64_field(v, "spacing")?,
-        },
-        "jittered-lattice" => TopologySpec::JitteredLattice {
-            rows: usize_field(v, "rows")?,
-            cols: usize_field(v, "cols")?,
-            spacing: f64_field(v, "spacing")?,
-            amplitude: f64_field(v, "amplitude")?,
-        },
-        "uniform-line" => TopologySpec::UniformLine {
-            n: usize_field(v, "n")?,
-            gap: f64_field(v, "gap")?,
-        },
-        "halving-line" => TopologySpec::HalvingLine {
-            n: usize_field(v, "n")?,
-            first_gap: f64_field(v, "first_gap")?,
-            ratio: f64_field(v, "ratio")?,
-            min_gap: f64_field(v, "min_gap")?,
-        },
-        "granularity-line" => TopologySpec::GranularityLine {
-            n: usize_field(v, "n")?,
-            max_gap: f64_field(v, "max_gap")?,
-            rs_target: f64_field(v, "rs_target")?,
-            min_gap: f64_field(v, "min_gap")?,
-        },
-        "granularity-line-fixed-d" => TopologySpec::GranularityLineFixedD {
-            n: usize_field(v, "n")?,
-            max_gap: f64_field(v, "max_gap")?,
-            rs_target: f64_field(v, "rs_target")?,
-            d_hops: usize_field(v, "d_hops")?,
-            min_gap: f64_field(v, "min_gap")?,
-        },
-        "cluster-chain" => TopologySpec::ClusterChain {
-            diameter: u32_field(v, "diameter")?,
-            per_cluster: usize_field(v, "per_cluster")?,
-        },
-        "gaussian-clusters" => TopologySpec::GaussianClusters {
-            k: usize_field(v, "k")?,
-            per_cluster: usize_field(v, "per_cluster")?,
-            side: f64_field(v, "side")?,
-            sigma: f64_field(v, "sigma")?,
-        },
-        "core-and-satellites" => TopologySpec::CoreAndSatellites {
-            core_n: usize_field(v, "core_n")?,
-            sat_n: usize_field(v, "sat_n")?,
-            core_radius: f64_field(v, "core_radius")?,
-            sat_distance: f64_field(v, "sat_distance")?,
-        },
-        "ring" => TopologySpec::Ring {
-            n: usize_field(v, "n")?,
-            radius: f64_field(v, "radius")?,
-        },
-        "bridge" => TopologySpec::Bridge {
-            blob_n: usize_field(v, "blob_n")?,
-            corridor_n: usize_field(v, "corridor_n")?,
-            blob_side: f64_field(v, "blob_side")?,
-        },
-        "two-tier" => TopologySpec::TwoTier {
-            dense_n: usize_field(v, "dense_n")?,
-            ratio: usize_field(v, "ratio")?,
-            side: f64_field(v, "side")?,
-        },
-        other => return Err(WireError::new(format!("unknown topology kind '{other}'"))),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Protocol
-// ---------------------------------------------------------------------
-
-fn wake_schedule_to_value(s: &WakeSchedule) -> Value {
-    match s {
-        WakeSchedule::AllAt(round) => tagged("all-at", vec![("round".into(), Value::UInt(*round))]),
-        WakeSchedule::Selected(entries) => tagged(
-            "selected",
-            vec![(
-                "entries".into(),
-                Value::Array(
-                    entries
-                        .iter()
-                        .map(|&(station, round)| {
-                            Value::Array(vec![usize_value(station), Value::UInt(round)])
-                        })
-                        .collect(),
-                ),
-            )],
-        ),
-        WakeSchedule::Staggered { start, gap } => tagged(
-            "staggered",
-            vec![
-                ("start".into(), Value::UInt(*start)),
-                ("gap".into(), Value::UInt(*gap)),
-            ],
-        ),
+impl Wire for u32 {
+    fn to_value(&self) -> Value {
+        Value::UInt(u64::from(*self))
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        u64::from_value(v)?
+            .try_into()
+            .map_err(|_| WireError::new("exceeds u32"))
     }
 }
 
-fn wake_schedule_from_value(v: &Value) -> Result<WakeSchedule, WireError> {
-    Ok(match kind(v)? {
-        "all-at" => WakeSchedule::AllAt(u64_field(v, "round")?),
-        "selected" => {
-            let mut entries = Vec::new();
-            for e in array_field(v, "entries")? {
-                let pair = e
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| WireError::new("wake entry is not a [station, round] pair"))?;
-                let station = pair[0]
-                    .as_usize()
-                    .ok_or_else(|| WireError::new("wake entry station is not a usize"))?;
-                let round = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| WireError::new("wake entry round is not a u64"))?;
-                entries.push((station, round));
-            }
-            WakeSchedule::Selected(entries)
-        }
-        "staggered" => WakeSchedule::Staggered {
-            start: u64_field(v, "start")?,
-            gap: u64_field(v, "gap")?,
-        },
-        other => {
-            return Err(WireError::new(format!(
-                "unknown wake-schedule kind '{other}'"
-            )))
-        }
-    })
-}
-
-fn coloring_to_value(c: &Coloring) -> Value {
-    Value::Array(c.colors.iter().map(|&x| Value::Float(x)).collect())
-}
-
-fn coloring_from_value(v: &Value, what: &str) -> Result<Coloring, WireError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| WireError::new(format!("{what} is not an array")))?;
-    let mut colors = Vec::with_capacity(items.len());
-    for item in items {
-        colors.push(
-            item.as_f64()
-                .ok_or_else(|| WireError::new(format!("{what} entry is not a number")))?,
-        );
+impl Wire for f64 {
+    fn to_value(&self) -> Value {
+        Value::Float(*self)
     }
-    Ok(Coloring::new(colors))
-}
-
-fn protocol_to_value(p: &ProtocolSpec) -> Value {
-    let f = |k: &str, v: Value| (k.to_string(), v);
-    let tag = p.name();
-    match p {
-        ProtocolSpec::NoSBroadcast { source }
-        | ProtocolSpec::SBroadcast { source }
-        | ProtocolSpec::LocalBroadcast { source }
-        | ProtocolSpec::GpsOracleBroadcast { source } => {
-            tagged(tag, vec![f("source", usize_value(*source))])
-        }
-        ProtocolSpec::NoSBroadcastWithEstimate { source, nu }
-        | ProtocolSpec::SBroadcastWithEstimate { source, nu } => tagged(
-            tag,
-            vec![f("source", usize_value(*source)), f("nu", usize_value(*nu))],
-        ),
-        ProtocolSpec::Coloring => tagged(tag, vec![]),
-        ProtocolSpec::DaumBroadcast {
-            source,
-            granularity,
-        } => tagged(
-            tag,
-            vec![
-                f("source", usize_value(*source)),
-                f("granularity", granularity.map_or(Value::Null, Value::Float)),
-            ],
-        ),
-        ProtocolSpec::FloodBroadcast { source, p } => tagged(
-            tag,
-            vec![f("source", usize_value(*source)), f("p", Value::Float(*p))],
-        ),
-        ProtocolSpec::ReFloodBroadcast {
-            source,
-            p,
-            burst_rounds,
-        } => tagged(
-            tag,
-            vec![
-                f("source", usize_value(*source)),
-                f("p", Value::Float(*p)),
-                f("burst_rounds", Value::UInt(*burst_rounds)),
-            ],
-        ),
-        ProtocolSpec::ReFloodBroadcastEstimate {
-            source,
-            nu0,
-            burst_rounds,
-        } => tagged(
-            tag,
-            vec![
-                f("source", usize_value(*source)),
-                f("nu0", usize_value(*nu0)),
-                f("burst_rounds", Value::UInt(*burst_rounds)),
-            ],
-        ),
-        ProtocolSpec::NoSBroadcastOnlineEstimate { source, nu0 }
-        | ProtocolSpec::SBroadcastOnlineEstimate { source, nu0 } => tagged(
-            tag,
-            vec![
-                f("source", usize_value(*source)),
-                f("nu0", usize_value(*nu0)),
-            ],
-        ),
-        ProtocolSpec::AdhocWakeup { schedule } => {
-            tagged(tag, vec![f("schedule", wake_schedule_to_value(schedule))])
-        }
-        ProtocolSpec::EstablishedWakeup {
-            coloring,
-            initiators,
-        } => tagged(
-            tag,
-            vec![
-                f("coloring", coloring_to_value(coloring)),
-                f(
-                    "initiators",
-                    Value::Array(initiators.iter().map(|&b| Value::Bool(b)).collect()),
-                ),
-            ],
-        ),
-        ProtocolSpec::Consensus {
-            values,
-            bits,
-            d_bound,
-        } => tagged(
-            tag,
-            vec![
-                f(
-                    "values",
-                    Value::Array(values.iter().map(|&x| Value::UInt(x)).collect()),
-                ),
-                f("bits", Value::UInt(u64::from(*bits))),
-                f("d_bound", Value::UInt(u64::from(*d_bound))),
-            ],
-        ),
-        ProtocolSpec::LeaderElection { d_bound } => {
-            tagged(tag, vec![f("d_bound", Value::UInt(u64::from(*d_bound)))])
-        }
-        ProtocolSpec::Alert {
-            coloring,
-            alerts,
-            d_bound,
-        } => tagged(
-            tag,
-            vec![
-                f("coloring", coloring_to_value(coloring)),
-                f(
-                    "alerts",
-                    Value::Array(
-                        alerts
-                            .iter()
-                            .map(|&(station, round)| {
-                                Value::Array(vec![usize_value(station), Value::UInt(round)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                f("d_bound", Value::UInt(u64::from(*d_bound))),
-            ],
-        ),
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        expect(v.as_f64(), "a number")
     }
 }
 
-fn protocol_from_value(v: &Value) -> Result<ProtocolSpec, WireError> {
-    let source = || usize_field(v, "source");
-    Ok(match kind(v)? {
-        "nos-broadcast" => ProtocolSpec::NoSBroadcast { source: source()? },
-        "nos-broadcast-nu" => ProtocolSpec::NoSBroadcastWithEstimate {
-            source: source()?,
-            nu: usize_field(v, "nu")?,
-        },
-        "s-broadcast" => ProtocolSpec::SBroadcast { source: source()? },
-        "s-broadcast-nu" => ProtocolSpec::SBroadcastWithEstimate {
-            source: source()?,
-            nu: usize_field(v, "nu")?,
-        },
-        "coloring" => ProtocolSpec::Coloring,
-        "daum" => ProtocolSpec::DaumBroadcast {
-            source: source()?,
-            granularity: {
-                let g = field(v, "granularity")?;
-                if g.is_null() {
-                    None
-                } else {
-                    Some(g.as_f64().ok_or_else(|| {
-                        WireError::new("field 'granularity' is not a number or null")
-                    })?)
-                }
-            },
-        },
-        "flood" => ProtocolSpec::FloodBroadcast {
-            source: source()?,
-            p: f64_field(v, "p")?,
-        },
-        "local-broadcast" => ProtocolSpec::LocalBroadcast { source: source()? },
-        "re-flood" => ProtocolSpec::ReFloodBroadcast {
-            source: source()?,
-            p: f64_field(v, "p")?,
-            burst_rounds: u64_field(v, "burst_rounds")?,
-        },
-        "re-flood-online-nu" => ProtocolSpec::ReFloodBroadcastEstimate {
-            source: source()?,
-            nu0: usize_field(v, "nu0")?,
-            burst_rounds: u64_field(v, "burst_rounds")?,
-        },
-        "nos-broadcast-online-nu" => ProtocolSpec::NoSBroadcastOnlineEstimate {
-            source: source()?,
-            nu0: usize_field(v, "nu0")?,
-        },
-        "s-broadcast-online-nu" => ProtocolSpec::SBroadcastOnlineEstimate {
-            source: source()?,
-            nu0: usize_field(v, "nu0")?,
-        },
-        "gps-oracle" => ProtocolSpec::GpsOracleBroadcast { source: source()? },
-        "adhoc-wakeup" => ProtocolSpec::AdhocWakeup {
-            schedule: wake_schedule_from_value(field(v, "schedule")?)?,
-        },
-        "established-wakeup" => ProtocolSpec::EstablishedWakeup {
-            coloring: coloring_from_value(field(v, "coloring")?, "coloring")?,
-            initiators: {
-                let mut out = Vec::new();
-                for b in array_field(v, "initiators")? {
-                    out.push(
-                        b.as_bool()
-                            .ok_or_else(|| WireError::new("initiator flag is not a bool"))?,
-                    );
-                }
-                out
-            },
-        },
-        "consensus" => ProtocolSpec::Consensus {
-            values: {
-                let mut out = Vec::new();
-                for x in array_field(v, "values")? {
-                    out.push(
-                        x.as_u64()
-                            .ok_or_else(|| WireError::new("consensus value is not a u64"))?,
-                    );
-                }
-                out
-            },
-            bits: u32_field(v, "bits")?,
-            d_bound: u32_field(v, "d_bound")?,
-        },
-        "leader-election" => ProtocolSpec::LeaderElection {
-            d_bound: u32_field(v, "d_bound")?,
-        },
-        "alert" => ProtocolSpec::Alert {
-            coloring: coloring_from_value(field(v, "coloring")?, "coloring")?,
-            alerts: {
-                let mut out = Vec::new();
-                for e in array_field(v, "alerts")? {
-                    let pair = e
-                        .as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| WireError::new("alert is not a [station, round] pair"))?;
-                    let station = pair[0]
-                        .as_usize()
-                        .ok_or_else(|| WireError::new("alert station is not a usize"))?;
-                    let round = pair[1]
-                        .as_u64()
-                        .ok_or_else(|| WireError::new("alert round is not a u64"))?;
-                    out.push((station, round));
-                }
-                out
-            },
-            d_bound: u32_field(v, "d_bound")?,
-        },
-        other => return Err(WireError::new(format!("unknown protocol kind '{other}'"))),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Execution knobs
-// ---------------------------------------------------------------------
-
-fn mode_to_value(m: InterferenceMode) -> Value {
-    match m {
-        InterferenceMode::Exact => tagged("exact", vec![]),
-        InterferenceMode::Truncated { radius } => {
-            tagged("truncated", vec![("radius".into(), Value::Float(radius))])
-        }
-        InterferenceMode::CellAggregate { near_radius } => tagged(
-            "cell-aggregate",
-            vec![("near_radius".into(), Value::Float(near_radius))],
-        ),
-        InterferenceMode::GridNative { near_radius } => tagged(
-            "grid-native",
-            vec![("near_radius".into(), Value::Float(near_radius))],
-        ),
+impl Wire for bool {
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        expect(v.as_bool(), "a bool")
     }
 }
 
-fn mode_from_value(v: &Value) -> Result<InterferenceMode, WireError> {
-    Ok(match kind(v)? {
-        "exact" => InterferenceMode::Exact,
-        "truncated" => InterferenceMode::Truncated {
-            radius: f64_field(v, "radius")?,
-        },
-        "cell-aggregate" => InterferenceMode::CellAggregate {
-            near_radius: f64_field(v, "near_radius")?,
-        },
-        "grid-native" => InterferenceMode::GridNative {
-            near_radius: f64_field(v, "near_radius")?,
-        },
-        other => {
-            return Err(WireError::new(format!(
-                "unknown interference mode '{other}'"
-            )))
+/// `None` is `null`.
+impl<T: Wire> Wire for Option<T> {
+    fn to_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_value)
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::from_value(v).map(Some)
         }
-    })
-}
-
-fn repair_to_value(r: RepairPolicy) -> Value {
-    match r {
-        RepairPolicy::Auto { threshold } => {
-            tagged("auto", vec![("threshold".into(), Value::Float(threshold))])
-        }
-        RepairPolicy::AlwaysFull => tagged("always-full", vec![]),
-        RepairPolicy::AlwaysIncremental => tagged("always-incremental", vec![]),
     }
 }
 
-fn repair_from_value(v: &Value) -> Result<RepairPolicy, WireError> {
-    Ok(match kind(v)? {
-        "auto" => RepairPolicy::Auto {
-            threshold: f64_field(v, "threshold")?,
-        },
-        "always-full" => RepairPolicy::AlwaysFull,
-        "always-incremental" => RepairPolicy::AlwaysIncremental,
-        other => return Err(WireError::new(format!("unknown repair policy '{other}'"))),
-    })
-}
-
-fn dispatch_to_value(d: KernelDispatch) -> Value {
-    Value::str(d.label())
-}
-
-fn dispatch_from_value(v: &Value) -> Result<KernelDispatch, WireError> {
-    match v.as_str() {
-        Some("auto") => Ok(KernelDispatch::Auto),
-        Some("scalar") => Ok(KernelDispatch::ForceScalar),
-        Some(other) => Err(WireError::new(format!("unknown kernel dispatch '{other}'"))),
-        None => Err(WireError::new("field 'kernel_dispatch' is not a string")),
+impl<T: Wire> Wire for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(T::to_value).collect())
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        expect(v.as_array(), "an array")?
+            .iter()
+            .map(T::from_value)
+            .collect()
     }
 }
 
-fn accumulation_to_value(a: Accumulation) -> Value {
-    Value::str(a.label())
-}
-
-fn accumulation_from_value(v: &Value) -> Result<Accumulation, WireError> {
-    match v.as_str() {
-        Some("f64") => Ok(Accumulation::F64),
-        Some("f32") => Ok(Accumulation::F32),
-        Some(other) => Err(WireError::new(format!("unknown accumulation '{other}'"))),
-        None => Err(WireError::new("field 'accumulation' is not a string")),
+/// A pair is a 2-element array.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
     }
-}
-
-fn constants_to_value(c: &Constants) -> Value {
-    Value::Object(vec![
-        ("c1_cap".into(), Value::Float(c.c1_cap)),
-        ("c2_mass".into(), Value::Float(c.c2_mass)),
-        ("p_max".into(), Value::Float(c.p_max)),
-        ("c0".into(), Value::Float(c.c0)),
-        ("c1".into(), Value::Float(c.c1)),
-        ("c2".into(), Value::Float(c.c2)),
-        ("c3".into(), Value::Float(c.c3)),
-        ("c_prime".into(), Value::UInt(u64::from(c.c_prime))),
-        ("c_eps".into(), Value::Float(c.c_eps)),
-        ("c_bcast".into(), Value::Float(c.c_bcast)),
-        ("dissem_factor".into(), Value::Float(c.dissem_factor)),
-        ("hop_factor".into(), Value::Float(c.hop_factor)),
-    ])
-}
-
-fn constants_from_value(v: &Value) -> Result<Constants, WireError> {
-    Ok(Constants {
-        c1_cap: f64_field(v, "c1_cap")?,
-        c2_mass: f64_field(v, "c2_mass")?,
-        p_max: f64_field(v, "p_max")?,
-        c0: f64_field(v, "c0")?,
-        c1: f64_field(v, "c1")?,
-        c2: f64_field(v, "c2")?,
-        c3: f64_field(v, "c3")?,
-        c_prime: u32_field(v, "c_prime")?,
-        c_eps: f64_field(v, "c_eps")?,
-        c_bcast: f64_field(v, "c_bcast")?,
-        dissem_factor: f64_field(v, "dissem_factor")?,
-        hop_factor: f64_field(v, "hop_factor")?,
-    })
-}
-
-fn mobility_to_value(s: &MobilitySpec) -> Value {
-    let model = match s.model {
-        MobilityModel::RandomWaypoint {
-            speed,
-            pause_epochs,
-        } => tagged(
-            "random-waypoint",
-            vec![
-                ("speed".into(), Value::Float(speed)),
-                ("pause_epochs".into(), Value::UInt(pause_epochs)),
-            ],
-        ),
-        MobilityModel::Drift { speed } => {
-            tagged("drift", vec![("speed".into(), Value::Float(speed))])
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        match expect(v.as_array(), "an array")? {
+            [a, b] => Ok((A::from_value(a)?, B::from_value(b)?)),
+            _ => Err(WireError::new("not a 2-element array")),
         }
-        MobilityModel::TeleportChurn { fraction } => tagged(
-            "teleport-churn",
-            vec![("fraction".into(), Value::Float(fraction))],
-        ),
-    };
-    Value::Object(vec![
-        ("model".into(), model),
-        ("epoch_rounds".into(), Value::UInt(s.epoch_rounds)),
-    ])
+    }
 }
 
-fn mobility_from_value(v: &Value) -> Result<MobilitySpec, WireError> {
-    let m = field(v, "model")?;
-    let model = match kind(m)? {
-        "random-waypoint" => MobilityModel::RandomWaypoint {
-            speed: f64_field(m, "speed")?,
-            pause_epochs: u64_field(m, "pause_epochs")?,
-        },
-        "drift" => MobilityModel::Drift {
-            speed: f64_field(m, "speed")?,
-        },
-        "teleport-churn" => MobilityModel::TeleportChurn {
-            fraction: f64_field(m, "fraction")?,
-        },
-        other => return Err(WireError::new(format!("unknown mobility model '{other}'"))),
-    };
-    Ok(MobilitySpec {
-        model,
-        epoch_rounds: u64_field(v, "epoch_rounds")?,
-    })
+/// The `measurements` map: an object keyed by measurement name. A
+/// `BTreeMap` iterates in key order, so the bytes are deterministic.
+impl Wire for BTreeMap<String, f64> {
+    fn to_value(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(k, x)| (k.clone(), x.to_value()))
+                .collect(),
+        )
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        expect(v.as_object(), "an object")?
+            .iter()
+            .map(|(k, x)| match f64::from_value(x) {
+                Ok(x) => Ok((k.clone(), x)),
+                Err(e) => Err(WireError::new(format!("measurement '{k}': {}", e.message))),
+            })
+            .collect()
+    }
 }
 
-fn churn_to_value(s: &ChurnSpec) -> Value {
-    Value::Object(vec![
-        ("arrival_rate".into(), Value::Float(s.model.arrival_rate)),
-        ("mean_lifetime".into(), Value::Float(s.model.mean_lifetime)),
-        ("epoch_rounds".into(), Value::UInt(s.epoch_rounds)),
-    ])
+/// A unit enum that goes on the wire as its bare `label()` string.
+fn from_label<T: Copy>(v: &Value, all: &[T], label: fn(T) -> &'static str) -> Result<T, WireError> {
+    let s = expect(v.as_str(), "a string")?;
+    all.iter()
+        .copied()
+        .find(|&x| label(x) == s)
+        .ok_or_else(|| WireError::new(format!("unknown label '{s}'")))
 }
 
-fn churn_from_value(v: &Value) -> Result<ChurnSpec, WireError> {
-    Ok(ChurnSpec {
-        model: ChurnModel {
-            arrival_rate: f64_field(v, "arrival_rate")?,
-            mean_lifetime: f64_field(v, "mean_lifetime")?,
-        },
-        epoch_rounds: u64_field(v, "epoch_rounds")?,
-    })
+impl Wire for KernelDispatch {
+    fn to_value(&self) -> Value {
+        Value::str(self.label())
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        let all = [KernelDispatch::Auto, KernelDispatch::ForceScalar];
+        from_label(v, &all, KernelDispatch::label)
+    }
 }
 
-fn adversary_to_value(s: &AdversarySpec) -> Value {
-    let models = s
-        .models
-        .iter()
-        .map(|m| match *m {
-            AdversaryModel::CutVertexKill { fraction, at_epoch } => tagged(
-                "cut-vertex-kill",
-                vec![
-                    ("fraction".into(), Value::Float(fraction)),
-                    ("at_epoch".into(), Value::UInt(at_epoch)),
-                ],
-            ),
-            AdversaryModel::PhaseCrashBurst {
-                kills,
-                every_phases,
-            } => tagged(
-                "phase-crash-burst",
-                vec![
-                    ("kills".into(), usize_value(kills)),
-                    ("every_phases".into(), Value::UInt(every_phases)),
-                ],
-            ),
-            AdversaryModel::Jam { jammers } => {
-                tagged("jam", vec![("jammers".into(), usize_value(jammers))])
-            }
-            AdversaryModel::Blackout {
-                fraction,
-                outage_epochs,
-            } => tagged(
-                "blackout",
-                vec![
-                    ("fraction".into(), Value::Float(fraction)),
-                    ("outage_epochs".into(), Value::UInt(outage_epochs)),
-                ],
-            ),
+impl Wire for Accumulation {
+    fn to_value(&self) -> Value {
+        Value::str(self.label())
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        let all = [Accumulation::F64, Accumulation::F32];
+        from_label(v, &all, Accumulation::label)
+    }
+}
+
+/// A coloring is the bare array of its colors.
+impl Wire for Coloring {
+    fn to_value(&self) -> Value {
+        self.colors.to_value()
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        Vec::from_value(v).map(Coloring::new)
+    }
+}
+
+const EPOCH_ROUNDS: &str = "epoch_rounds";
+
+/// A churn spec flattens its model's fields into its own object.
+impl Wire for ChurnSpec {
+    fn to_value(&self) -> Value {
+        let mut v = self.model.to_value();
+        if let Value::Object(fields) = &mut v {
+            fields.push((EPOCH_ROUNDS.into(), self.epoch_rounds.to_value()));
+        }
+        v
+    }
+    fn from_value(v: &Value) -> Result<Self, WireError> {
+        Ok(ChurnSpec {
+            model: ChurnModel::from_value(v)?,
+            epoch_rounds: read(v, EPOCH_ROUNDS)?,
         })
-        .collect();
-    Value::Object(vec![
-        ("models".into(), Value::Array(models)),
-        ("epoch_rounds".into(), Value::UInt(s.epoch_rounds)),
-    ])
+    }
 }
 
-fn adversary_from_value(v: &Value) -> Result<AdversarySpec, WireError> {
-    let mut models = Vec::new();
-    for m in array_field(v, "models")? {
-        models.push(match kind(m)? {
-            "cut-vertex-kill" => AdversaryModel::CutVertexKill {
-                fraction: f64_field(m, "fraction")?,
-                at_epoch: u64_field(m, "at_epoch")?,
-            },
-            "phase-crash-burst" => AdversaryModel::PhaseCrashBurst {
-                kills: usize_field(m, "kills")?,
-                every_phases: u64_field(m, "every_phases")?,
-            },
-            "jam" => AdversaryModel::Jam {
-                jammers: usize_field(m, "jammers")?,
-            },
-            "blackout" => AdversaryModel::Blackout {
-                fraction: f64_field(m, "fraction")?,
-                outage_epochs: u64_field(m, "outage_epochs")?,
-            },
-            other => return Err(WireError::new(format!("unknown adversary model '{other}'"))),
-        });
+// ---------------------------------------------------------------------
+// The schema: one declaration per type
+// ---------------------------------------------------------------------
+
+/// Declares structs as wire objects whose fields, in the listed order,
+/// are named as the Rust fields.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn to_value(&self) -> Value {
+                Value::Object(vec![
+                    $((stringify!($field).into(), Wire::to_value(&self.$field))),*
+                ])
+            }
+            fn from_value(v: &Value) -> Result<Self, WireError> {
+                Ok($ty { $($field: read(v, stringify!($field))?),* })
+            }
+        }
+    )*};
+}
+
+/// The wire name of an enum variant's field: its Rust name unless
+/// renamed with `as "name"`.
+macro_rules! wire_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident as $name:literal) => {
+        $name
+    };
+}
+
+/// Declares enums as tagged wire objects, `{"kind":"<tag>", ...}`, one
+/// variant per line: `Variant = "tag" { a, b }` lists a struct
+/// variant's fields in wire order (`a as "name"` renames one),
+/// `Variant = "tag" (name)` is a one-field tuple variant whose field is
+/// `name` on the wire, and `Variant = "tag"` is a unit variant. `what`
+/// names the enum in decode errors.
+macro_rules! wire_enum {
+    ($($ty:ident: $what:literal {
+        $($variant:ident = $tag:literal
+            $({ $($field:ident $(as $name:literal)?),* })?
+            $(($single:ident))?),* $(,)?
+    })*) => {$(
+        impl Tagged for $ty {
+            fn tag(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $tag,)*
+                }
+            }
+        }
+
+        impl Wire for $ty {
+            fn to_value(&self) -> Value {
+                Value::Object(match self {
+                    $($ty::$variant $({ $($field),* })? $(($single))? => vec![
+                        (KIND.into(), Value::str($tag)),
+                        $($((wire_name!($field $(as $name)?).into(), Wire::to_value($field))),*)?
+                        $((stringify!($single).into(), Wire::to_value($single)))?
+                    ],)*
+                })
+            }
+            fn from_value(v: &Value) -> Result<Self, WireError> {
+                let kind = v.get(KIND).and_then(Value::as_str);
+                Ok(match expect(kind, "a tagged object")? {
+                    $($tag => $ty::$variant
+                        $({ $($field: read(v, wire_name!($field $(as $name)?))?),* })?
+                        $((read(v, stringify!($single))?))?,)*
+                    other => {
+                        return Err(WireError::new(format!(
+                            concat!("unknown ", $what, " '{}'"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    TopologySpec: "topology kind" {
+        UniformSquare = "uniform-square" { n, side },
+        ConnectedSquare = "connected-square" { n, side },
+        ConnectedSquareDensity = "connected-square-density" { n, density },
+        UniformDisk = "uniform-disk" { n, radius },
+        Lattice = "lattice" { rows, cols, spacing },
+        JitteredLattice = "jittered-lattice" { rows, cols, spacing, amplitude },
+        UniformLine = "uniform-line" { n, gap },
+        HalvingLine = "halving-line" { n, first_gap, ratio, min_gap },
+        GranularityLine = "granularity-line" { n, max_gap, rs_target, min_gap },
+        GranularityLineFixedD = "granularity-line-fixed-d" {
+            n, max_gap, rs_target, d_hops, min_gap
+        },
+        ClusterChain = "cluster-chain" { diameter, per_cluster },
+        GaussianClusters = "gaussian-clusters" { k, per_cluster, side, sigma },
+        CoreAndSatellites = "core-and-satellites" { core_n, sat_n, core_radius, sat_distance },
+        Ring = "ring" { n, radius },
+        Bridge = "bridge" { blob_n, corridor_n, blob_side },
+        TwoTier = "two-tier" { dense_n, ratio, side },
     }
-    Ok(AdversarySpec {
-        models,
-        epoch_rounds: u64_field(v, "epoch_rounds")?,
-    })
+
+    ProtocolSpec: "protocol kind" {
+        NoSBroadcast = "nos-broadcast" { source },
+        NoSBroadcastWithEstimate = "nos-broadcast-nu" { source, nu },
+        SBroadcast = "s-broadcast" { source },
+        SBroadcastWithEstimate = "s-broadcast-nu" { source, nu },
+        Coloring = "coloring",
+        DaumBroadcast = "daum" { source, granularity },
+        FloodBroadcast = "flood" { source, p },
+        LocalBroadcast = "local-broadcast" { source },
+        ReFloodBroadcast = "re-flood" { source, p, burst_rounds },
+        ReFloodBroadcastEstimate = "re-flood-online-nu" { source, nu0, burst_rounds },
+        NoSBroadcastOnlineEstimate = "nos-broadcast-online-nu" { source, nu0 },
+        SBroadcastOnlineEstimate = "s-broadcast-online-nu" { source, nu0 },
+        GpsOracleBroadcast = "gps-oracle" { source },
+        AdhocWakeup = "adhoc-wakeup" { schedule },
+        EstablishedWakeup = "established-wakeup" { coloring, initiators },
+        Consensus = "consensus" { values, bits, d_bound },
+        LeaderElection = "leader-election" { d_bound },
+        Alert = "alert" { coloring, alerts, d_bound },
+    }
+
+    WakeSchedule: "wake-schedule kind" {
+        AllAt = "all-at" (round),
+        Selected = "selected" (entries),
+        Staggered = "staggered" { start, gap },
+    }
+
+    InterferenceMode: "interference mode" {
+        Exact = "exact",
+        Truncated = "truncated" { radius },
+        CellAggregate = "cell-aggregate" { near_radius },
+        GridNative = "grid-native" { near_radius },
+    }
+
+    RepairPolicy: "repair policy" {
+        Auto = "auto" { threshold },
+        AlwaysFull = "always-full",
+        AlwaysIncremental = "always-incremental",
+    }
+
+    MobilityModel: "mobility model" {
+        RandomWaypoint = "random-waypoint" { speed, pause_epochs },
+        Drift = "drift" { speed },
+        TeleportChurn = "teleport-churn" { fraction },
+    }
+
+    AdversaryModel: "adversary model" {
+        CutVertexKill = "cut-vertex-kill" { fraction, at_epoch },
+        PhaseCrashBurst = "phase-crash-burst" { kills, every_phases },
+        Jam = "jam" { jammers },
+        Blackout = "blackout" { fraction, outage_epochs },
+    }
+
+    Outcome: "outcome kind" {
+        Broadcast = "broadcast",
+        Coloring = "coloring" { coloring as "colors" },
+        Wakeup = "wakeup" { first_wake, rounds_from_first_wake },
+        Consensus = "consensus" { decided, agreement, valid },
+        Leader = "leader" { leaders, unique },
+        Alert = "alert" { learned_at },
+    }
+}
+
+wire_struct! {
+    Constants {
+        c1_cap, c2_mass, p_max, c0, c1, c2, c3, c_prime, c_eps, c_bcast, dissem_factor,
+        hop_factor,
+    }
+    ChurnModel { arrival_rate, mean_lifetime }
+    MobilitySpec { model, epoch_rounds }
+    AdversarySpec { models, epoch_rounds }
+    ScenarioSpec {
+        topology, protocol, alpha, beta, noise, eps, gamma, constants, budget, mode,
+        physics_threads, record, kernel_dispatch, accumulation, repair, mobility, churn,
+        adversary,
+    }
+    RoundStats { round, transmitters, receptions }
+    CoveragePoint { round, informed, live }
+    FaultReport { kills, returns, jam_rounds, recovery_rounds, coverage }
+    RunReport {
+        seed, n, rounds, completed, informed, total_transmissions, outcome, per_round,
+        tx_counts, measurements, faults,
+    }
+}
+
+/// The protocol's wire tag, which is also its [`ProtocolSpec::name`].
+pub(super) fn protocol_tag(p: &ProtocolSpec) -> &'static str {
+    p.tag()
 }
 
 // ---------------------------------------------------------------------
@@ -1039,45 +544,7 @@ impl ScenarioSpec {
 
     /// The spec as a wire value (canonical field order).
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("topology".into(), topology_to_value(&self.topology)),
-            ("protocol".into(), protocol_to_value(&self.protocol)),
-            ("alpha".into(), Value::Float(self.alpha)),
-            ("beta".into(), Value::Float(self.beta)),
-            ("noise".into(), Value::Float(self.noise)),
-            ("eps".into(), Value::Float(self.eps)),
-            ("gamma".into(), Value::Float(self.gamma)),
-            ("constants".into(), constants_to_value(&self.constants)),
-            ("budget".into(), opt_u64_value(self.budget)),
-            ("mode".into(), mode_to_value(self.mode)),
-            ("physics_threads".into(), usize_value(self.physics_threads)),
-            ("record".into(), Value::Bool(self.record)),
-            (
-                "kernel_dispatch".into(),
-                dispatch_to_value(self.kernel_dispatch),
-            ),
-            (
-                "accumulation".into(),
-                accumulation_to_value(self.accumulation),
-            ),
-            ("repair".into(), repair_to_value(self.repair)),
-            (
-                "mobility".into(),
-                self.mobility
-                    .as_ref()
-                    .map_or(Value::Null, mobility_to_value),
-            ),
-            (
-                "churn".into(),
-                self.churn.as_ref().map_or(Value::Null, churn_to_value),
-            ),
-            (
-                "adversary".into(),
-                self.adversary
-                    .as_ref()
-                    .map_or(Value::Null, adversary_to_value),
-            ),
-        ])
+        Wire::to_value(self)
     }
 
     /// Decodes a spec from a wire value.
@@ -1086,30 +553,7 @@ impl ScenarioSpec {
     ///
     /// [`WireError`] on missing/mistyped fields or unknown enum tags.
     pub fn from_value(v: &Value) -> Result<Self, WireError> {
-        let opt = |key: &str| -> Result<Option<&Value>, WireError> {
-            let f = field(v, key)?;
-            Ok(if f.is_null() { None } else { Some(f) })
-        };
-        Ok(ScenarioSpec {
-            topology: topology_from_value(field(v, "topology")?)?,
-            protocol: protocol_from_value(field(v, "protocol")?)?,
-            alpha: f64_field(v, "alpha")?,
-            beta: f64_field(v, "beta")?,
-            noise: f64_field(v, "noise")?,
-            eps: f64_field(v, "eps")?,
-            gamma: f64_field(v, "gamma")?,
-            constants: constants_from_value(field(v, "constants")?)?,
-            budget: opt_u64_field(v, "budget")?,
-            mode: mode_from_value(field(v, "mode")?)?,
-            physics_threads: usize_field(v, "physics_threads")?,
-            record: bool_field(v, "record")?,
-            kernel_dispatch: dispatch_from_value(field(v, "kernel_dispatch")?)?,
-            accumulation: accumulation_from_value(field(v, "accumulation")?)?,
-            repair: repair_from_value(field(v, "repair")?)?,
-            mobility: opt("mobility")?.map(mobility_from_value).transpose()?,
-            churn: opt("churn")?.map(churn_from_value).transpose()?,
-            adversary: opt("adversary")?.map(adversary_from_value).transpose()?,
-        })
+        Wire::from_value(v)
     }
 
     /// Canonical text encoding.
@@ -1175,203 +619,9 @@ impl ScenarioSpec {
 // RunReport
 // ---------------------------------------------------------------------
 
-fn outcome_to_value(o: &Outcome) -> Value {
-    match o {
-        Outcome::Broadcast => tagged("broadcast", vec![]),
-        Outcome::Coloring { coloring } => tagged(
-            "coloring",
-            vec![("colors".into(), coloring_to_value(coloring))],
-        ),
-        Outcome::Wakeup {
-            first_wake,
-            rounds_from_first_wake,
-        } => tagged(
-            "wakeup",
-            vec![
-                ("first_wake".into(), Value::UInt(*first_wake)),
-                (
-                    "rounds_from_first_wake".into(),
-                    Value::UInt(*rounds_from_first_wake),
-                ),
-            ],
-        ),
-        Outcome::Consensus {
-            decided,
-            agreement,
-            valid,
-        } => tagged(
-            "consensus",
-            vec![
-                (
-                    "decided".into(),
-                    Value::Array(decided.iter().map(|&d| opt_u64_value(d)).collect()),
-                ),
-                ("agreement".into(), Value::Bool(*agreement)),
-                ("valid".into(), Value::Bool(*valid)),
-            ],
-        ),
-        Outcome::Leader { leaders, unique } => tagged(
-            "leader",
-            vec![
-                (
-                    "leaders".into(),
-                    Value::Array(leaders.iter().map(|&l| usize_value(l)).collect()),
-                ),
-                ("unique".into(), Value::Bool(*unique)),
-            ],
-        ),
-        Outcome::Alert { learned_at } => tagged(
-            "alert",
-            vec![(
-                "learned_at".into(),
-                Value::Array(learned_at.iter().map(|&r| opt_u64_value(r)).collect()),
-            )],
-        ),
-    }
-}
-
-fn opt_u64_array(v: &Value, key: &str, what: &str) -> Result<Vec<Option<u64>>, WireError> {
-    let mut out = Vec::new();
-    for item in array_field(v, key)? {
-        if item.is_null() {
-            out.push(None);
-        } else {
-            out.push(Some(item.as_u64().ok_or_else(|| {
-                WireError::new(format!("{what} entry is not a u64 or null"))
-            })?));
-        }
-    }
-    Ok(out)
-}
-
-fn outcome_from_value(v: &Value) -> Result<Outcome, WireError> {
-    Ok(match kind(v)? {
-        "broadcast" => Outcome::Broadcast,
-        "coloring" => Outcome::Coloring {
-            coloring: coloring_from_value(field(v, "colors")?, "colors")?,
-        },
-        "wakeup" => Outcome::Wakeup {
-            first_wake: u64_field(v, "first_wake")?,
-            rounds_from_first_wake: u64_field(v, "rounds_from_first_wake")?,
-        },
-        "consensus" => Outcome::Consensus {
-            decided: opt_u64_array(v, "decided", "decided")?,
-            agreement: bool_field(v, "agreement")?,
-            valid: bool_field(v, "valid")?,
-        },
-        "leader" => {
-            let mut leaders = Vec::new();
-            for l in array_field(v, "leaders")? {
-                leaders.push(
-                    l.as_usize()
-                        .ok_or_else(|| WireError::new("leader id is not a usize"))?,
-                );
-            }
-            Outcome::Leader {
-                leaders,
-                unique: bool_field(v, "unique")?,
-            }
-        }
-        "alert" => Outcome::Alert {
-            learned_at: opt_u64_array(v, "learned_at", "learned_at")?,
-        },
-        other => return Err(WireError::new(format!("unknown outcome kind '{other}'"))),
-    })
-}
-
-fn fault_report_to_value(f: &FaultReport) -> Value {
-    Value::Object(vec![
-        ("kills".into(), Value::UInt(f.kills)),
-        ("returns".into(), Value::UInt(f.returns)),
-        ("jam_rounds".into(), Value::UInt(f.jam_rounds)),
-        ("recovery_rounds".into(), opt_u64_value(f.recovery_rounds)),
-        (
-            "coverage".into(),
-            Value::Array(
-                f.coverage
-                    .iter()
-                    .map(|c| {
-                        Value::Object(vec![
-                            ("round".into(), Value::UInt(c.round)),
-                            ("informed".into(), usize_value(c.informed)),
-                            ("live".into(), usize_value(c.live)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn fault_report_from_value(v: &Value) -> Result<FaultReport, WireError> {
-    let mut coverage = Vec::new();
-    for c in array_field(v, "coverage")? {
-        coverage.push(CoveragePoint {
-            round: u64_field(c, "round")?,
-            informed: usize_field(c, "informed")?,
-            live: usize_field(c, "live")?,
-        });
-    }
-    Ok(FaultReport {
-        kills: u64_field(v, "kills")?,
-        returns: u64_field(v, "returns")?,
-        jam_rounds: u64_field(v, "jam_rounds")?,
-        recovery_rounds: opt_u64_field(v, "recovery_rounds")?,
-        coverage,
-    })
-}
-
 /// A run report as a wire value (canonical field order).
 pub fn run_report_to_value(r: &RunReport) -> Value {
-    Value::Object(vec![
-        ("seed".into(), Value::UInt(r.seed)),
-        ("n".into(), usize_value(r.n)),
-        ("rounds".into(), Value::UInt(r.rounds)),
-        ("completed".into(), Value::Bool(r.completed)),
-        ("informed".into(), usize_value(r.informed)),
-        (
-            "total_transmissions".into(),
-            Value::UInt(r.total_transmissions),
-        ),
-        ("outcome".into(), outcome_to_value(&r.outcome)),
-        (
-            "per_round".into(),
-            r.per_round.as_ref().map_or(Value::Null, |rounds| {
-                Value::Array(
-                    rounds
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("round".into(), Value::UInt(s.round)),
-                                ("transmitters".into(), usize_value(s.transmitters)),
-                                ("receptions".into(), usize_value(s.receptions)),
-                            ])
-                        })
-                        .collect(),
-                )
-            }),
-        ),
-        (
-            "tx_counts".into(),
-            r.tx_counts.as_ref().map_or(Value::Null, |counts| {
-                Value::Array(counts.iter().map(|&c| Value::UInt(c)).collect())
-            }),
-        ),
-        (
-            "measurements".into(),
-            Value::Object(
-                // BTreeMap iterates in key order: deterministic bytes.
-                r.measurements
-                    .iter()
-                    .map(|(k, &x)| (k.clone(), Value::Float(x)))
-                    .collect(),
-            ),
-        ),
-        (
-            "faults".into(),
-            r.faults.as_ref().map_or(Value::Null, fault_report_to_value),
-        ),
-    ])
+    r.to_value()
 }
 
 /// Decodes a run report from a wire value.
@@ -1380,75 +630,7 @@ pub fn run_report_to_value(r: &RunReport) -> Value {
 ///
 /// [`WireError`] on missing/mistyped fields or unknown enum tags.
 pub fn run_report_from_value(v: &Value) -> Result<RunReport, WireError> {
-    let per_round = {
-        let f = field(v, "per_round")?;
-        if f.is_null() {
-            None
-        } else {
-            let mut rounds = Vec::new();
-            for s in f
-                .as_array()
-                .ok_or_else(|| WireError::new("field 'per_round' is not an array or null"))?
-            {
-                rounds.push(RoundStats {
-                    round: u64_field(s, "round")?,
-                    transmitters: usize_field(s, "transmitters")?,
-                    receptions: usize_field(s, "receptions")?,
-                });
-            }
-            Some(rounds)
-        }
-    };
-    let tx_counts = {
-        let f = field(v, "tx_counts")?;
-        if f.is_null() {
-            None
-        } else {
-            let mut counts = Vec::new();
-            for c in f
-                .as_array()
-                .ok_or_else(|| WireError::new("field 'tx_counts' is not an array or null"))?
-            {
-                counts.push(
-                    c.as_u64()
-                        .ok_or_else(|| WireError::new("tx count is not a u64"))?,
-                );
-            }
-            Some(counts)
-        }
-    };
-    let mut measurements = BTreeMap::new();
-    for (k, x) in field(v, "measurements")?
-        .as_object()
-        .ok_or_else(|| WireError::new("field 'measurements' is not an object"))?
-    {
-        measurements.insert(
-            k.clone(),
-            x.as_f64()
-                .ok_or_else(|| WireError::new(format!("measurement '{k}' is not a number")))?,
-        );
-    }
-    let faults = {
-        let f = field(v, "faults")?;
-        if f.is_null() {
-            None
-        } else {
-            Some(fault_report_from_value(f)?)
-        }
-    };
-    Ok(RunReport {
-        seed: u64_field(v, "seed")?,
-        n: usize_field(v, "n")?,
-        rounds: u64_field(v, "rounds")?,
-        completed: bool_field(v, "completed")?,
-        informed: usize_field(v, "informed")?,
-        total_transmissions: u64_field(v, "total_transmissions")?,
-        outcome: outcome_from_value(field(v, "outcome")?)?,
-        per_round,
-        tx_counts,
-        measurements,
-        faults,
-    })
+    RunReport::from_value(v)
 }
 
 /// Canonical text encoding of a run report — the bytes the server
@@ -1580,11 +762,11 @@ mod tests {
             },
         ];
         for outcome in outcomes {
-            let v = outcome_to_value(&outcome);
+            let v = outcome.to_value();
             let text = v.encode();
-            let back = outcome_from_value(&Value::parse(&text).unwrap()).unwrap();
+            let back = Outcome::from_value(&Value::parse(&text).unwrap()).unwrap();
             assert_eq!(back, outcome);
-            assert_eq!(outcome_to_value(&back).encode(), text);
+            assert_eq!(back.to_value().encode(), text);
         }
     }
 
@@ -1706,8 +888,8 @@ mod tests {
             },
         ];
         for protocol in protocols {
-            let v = protocol_to_value(&protocol);
-            let back = protocol_from_value(&Value::parse(&v.encode()).unwrap()).unwrap();
+            let v = protocol.to_value();
+            let back = ProtocolSpec::from_value(&Value::parse(&v.encode()).unwrap()).unwrap();
             assert_eq!(back, protocol);
         }
     }
@@ -1782,8 +964,8 @@ mod tests {
             },
         ];
         for topology in topologies {
-            let v = topology_to_value(&topology);
-            let back = topology_from_value(&Value::parse(&v.encode()).unwrap()).unwrap();
+            let v = topology.to_value();
+            let back = TopologySpec::from_value(&Value::parse(&v.encode()).unwrap()).unwrap();
             assert_eq!(back, topology);
         }
     }

@@ -6,7 +6,7 @@
 //!
 //! * [`uniform`] — uniform random deployments in squares and disks (the
 //!   "average case");
-//! * [`line`] — line networks, including the paper's footnote-2 adversarial
+//! * [`line`](mod@line) — line networks, including the paper's footnote-2 adversarial
 //!   construction with geometrically shrinking gaps and therefore
 //!   **exponential granularity** `R_s`;
 //! * [`cluster`] — Gaussian clusters and *chains of clusters*, which give

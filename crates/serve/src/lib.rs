@@ -78,6 +78,13 @@ pub const ROUND_CHANNEL_CAPACITY: usize = 1024;
 /// round lines that no control event carried out.
 const TICK: Duration = Duration::from_millis(25);
 
+/// The most physics threads a submitted spec may ask for. A trial
+/// allocates one shard scratch per physics thread and spawns up to that
+/// many scoped threads every round, so an unchecked value lets one
+/// client abort the whole server on a failed allocation. A submit above
+/// the cap gets an `error` event and never reaches a worker.
+const MAX_PHYSICS_THREADS: usize = 64;
+
 // ---------------------------------------------------------------------
 // Protocol lines
 // ---------------------------------------------------------------------
@@ -503,6 +510,12 @@ fn accepted_line(job: u64, trials: u64) -> String {
 fn handle_submit(shared: &Shared, control: &Sender<Outbound>, req: &Value) -> Result<(), String> {
     let spec_value = req.get("spec").ok_or("submit is missing 'spec'")?;
     let spec = ScenarioSpec::from_value(spec_value).map_err(|e| e.to_string())?;
+    if spec.physics_threads > MAX_PHYSICS_THREADS {
+        return Err(format!(
+            "physics_threads {} exceeds the server's cap of {MAX_PHYSICS_THREADS}",
+            spec.physics_threads
+        ));
+    }
     let seeds_value = req
         .get("seeds")
         .and_then(Value::as_array)

@@ -10,8 +10,9 @@
 //! [`Value::encode`] emits a *canonical* byte string: no whitespace,
 //! object fields in the order the encoder pushed them, integers in plain
 //! decimal, floats through Rust's shortest round-trip `Display`. Two
-//! properties follow, and the golden tests in
-//! `crates/core/src/sim/wire.rs` and `tests/roundtrip.rs` pin them:
+//! properties follow. The byte pins of every schema variant in
+//! `crates/core/tests/wire_golden.rs` and the socket-level report pins
+//! in `crates/serve/tests/server_determinism.rs` hold them:
 //!
 //! 1. **encode → parse → encode is byte-identical** for every value this
 //!    crate can produce (the server's determinism contract extends over
